@@ -234,11 +234,12 @@ def _cmd_laplacian(args):
     if not isinstance(graph, WeightedGraph):
         raise ParseError("directed graph file needs --digraph")
     L = laplacian(graph)
+    group = sandpile_group(graph)
     payload = {
         "vertices": graph.vertex_count,
         "laplacian": _matrix_entry(L),
-        "sandpile_invariant_factors": list(sandpile_group(graph).invariant_factors),
-        "sandpile_order": sandpile_group(graph).order,
+        "sandpile_invariant_factors": list(group.invariant_factors),
+        "sandpile_order": group.order,
         "spanning_trees": spanning_tree_count(graph),
     }
     if args.full_report:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import PreconditionError
 from .exactmat import smith_normal_form
@@ -113,10 +113,22 @@ def symbolic_decomposition(lat: Lattice):
 
 @dataclass(frozen=True)
 class GaloisOrbit:
-    representative: tuple  # residue tuple of one member
-    members: tuple         # all residue tuples, sorted
+    representative: tuple  # least residue tuple of the orbit
     size: int
     degree: int
+    torsion_factors: tuple = field(repr=False)  # moduli of the residues
+
+    @property
+    def members(self):
+        """All residue tuples of the orbit, sorted, computed on demand:
+        the multiples of the representative by the units modulo its
+        order."""
+        order = lcm(*(g // gcd(r, g) for r, g in zip(self.representative, self.torsion_factors)))
+        return tuple(sorted(
+            tuple((k * r) % g for r, g in zip(self.representative, self.torsion_factors))
+            for k in range(1, order + 1)
+            if gcd(k, order) == 1
+        ))
 
 
 @dataclass(frozen=True)
@@ -160,33 +172,92 @@ class GaloisOrbitReport:
         }
 
 
+def _divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _totient(n):
+    out = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
+def _least_residues(gamma, m):
+    """The residues r mod gamma that are least in their orbit under the
+    units v with v = 1 mod m, ascending, each paired with its additive
+    order n = gamma / gcd(r, gamma).
+
+    Write r = (gamma / n) * a with a a unit mod n. The orbit of r is
+    (gamma / n) * {b unit mod n : b = a mod gcd(m, n)}, so r is least
+    exactly when a is the least unit mod n in its class mod gcd(m, n);
+    each of the phi(gcd(m, n)) unit classes has one such a."""
+    out = []
+    for n in _divisors(gamma):
+        c = gcd(m, n)
+        want = _totient(c)
+        classes = set()
+        for b in range(n):  # for n = 1, b = 0 is the unit
+            if gcd(b, n) == 1 and b % c not in classes:
+                classes.add(b % c)
+                out.append(((gamma // n) * b, n))
+                if len(classes) == want:
+                    break
+    out.sort()
+    return out
+
+
+def _orbit_representatives(gammas):
+    """Least member of every unit-group orbit on Z/gamma_1 x ... x
+    Z/gamma_k, in lexicographic order, each paired with its order.
+
+    A tuple is least in its orbit only if each prefix is least in its
+    own orbit, and a least prefix p of order m extends by r exactly when
+    r is least under the units that fix p, which are those = 1 mod m.
+    So the walk grows least prefixes one coordinate at a time; the
+    children depend only on (gamma_j, gcd(m, gamma_j)), so each child
+    list is computed once."""
+    children = {}
+    level = [((), 1)]
+    for g in gammas:
+        nxt = []
+        for prefix, m in level:
+            key = (g, gcd(m, g))
+            kids = children.get(key)
+            if kids is None:
+                kids = children[key] = _least_residues(*key)
+            nxt.extend((prefix + (r,), lcm(m, n)) for r, n in kids)
+        level = nxt
+    return level
+
+
 def rational_orbit_report(lat: Lattice) -> GaloisOrbitReport:
     """Group the symbolic components into Galois orbits: two characters
     are conjugate when a unit k mod lcm(gamma) rescales one to the
-    other. Orbit degrees sum to the graded dimension-1 degree."""
+    other, so the orbits are the cyclic subgroups of the torsion group
+    and an orbit's size is phi of its order. Representatives come from
+    the divisor structure without enumerating the group. Orbit degrees
+    sum to the graded dimension-1 degree."""
     gammas, rows, d = _snf_character_data(lat)
-    modulus = lcm(*gammas) if gammas else 1
-    units = [k for k in range(1, modulus + 1) if gcd(k, modulus) == 1]
-
     per_comp = max(d) // gcd(*d)
-    seen = set()
+    sizes = {n: _totient(n) for n in _divisors(lcm(*gammas))}
     orbits = []
-    for res in product(*(range(g) for g in gammas)):
-        if res in seen:
-            continue
-        orbit = sorted(
-            {
-                tuple((k * r) % g for r, g in zip(res, gammas))
-                for k in units
-            }
-        )
-        seen.update(orbit)
+    for rep, order in _orbit_representatives(gammas):
+        size = sizes[order]
         orbits.append(
             GaloisOrbit(
-                representative=orbit[0],
-                members=tuple(orbit),
-                size=len(orbit),
-                degree=len(orbit) * per_comp,
+                representative=rep,
+                size=size,
+                degree=size * per_comp,
+                torsion_factors=gammas,
             )
         )
 

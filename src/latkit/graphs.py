@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .exactmat import IntMatrix, adjoint, minor_gcd
+from .exactmat import IntMatrix, determinant, minor_gcd
 from .ideal import BinomialIdeal, matrix_ideal, saturate_variables, is_lattice_ideal, \
     affine_degree, vanishing_condition, minimal_generator_count
 from .lattice import FiniteAbelianGroup, Lattice, critical_group
@@ -165,16 +165,16 @@ def sandpile_group(G: WeightedGraph) -> FiniteAbelianGroup:
 
 
 def spanning_tree_count(G: WeightedGraph) -> int:
-    """Weighted spanning-tree count; every cofactor of the Laplacian."""
+    """Weighted spanning-tree count. By the matrix-tree theorem every
+    cofactor of the Laplacian equals it; this takes the one with row 0
+    and column 0 deleted."""
     if not G.is_connected():
         raise PreconditionError("graph is not connected")
     L = laplacian(G)
     if G.vertex_count == 1:
         return 1
-    adj = adjoint(L)
-    entries = {adj.entry(i, j) for i in range(adj.rows) for j in range(adj.cols)}
-    assert len(entries) == 1, "adjoint entries of a graph Laplacian must agree"
-    count = entries.pop()
+    rows = L.to_rows()
+    count = abs(determinant(IntMatrix([r[1:] for r in rows[1:]])))
     assert count == sandpile_group(G).order
     assert count == minor_gcd(L, G.vertex_count - 1)
     return count

@@ -1,3 +1,8 @@
+import random
+import time
+from itertools import product
+from math import gcd, lcm, prod
+
 import pytest
 
 from latkit import (
@@ -87,3 +92,88 @@ def test_orbit_degrees_sum_to_graded_degree():
     lat = Lattice(3, [(2, -2, 0), (0, 6, -6)])
     rep = rational_orbit_report(lat)
     assert rep.total_degree == degree_graded_dim1(lat, (1, 1, 1))
+
+
+def _chain_lattice(gammas, grading):
+    """Corank-1 lattice in Z^(k+1) with torsion Z/gamma_1 x ... x
+    Z/gamma_k, homogeneous for the grading (d_1, ..., d_k, 1)."""
+    s = len(gammas) + 1
+    return Lattice(s, [
+        tuple(g * (int(i == j) - (d if i == s - 1 else 0)) for i in range(s))
+        for j, (g, d) in enumerate(zip(gammas, grading))
+    ])
+
+
+def _enumerated_orbits(gammas):
+    """Every orbit, sorted, by walking the whole group: the oracle."""
+    modulus = lcm(*gammas)
+    units = [k for k in range(1, modulus + 1) if gcd(k, modulus) == 1]
+    seen = set()
+    orbits = []
+    for res in product(*(range(g) for g in gammas)):
+        if res in seen:
+            continue
+        orbit = sorted({tuple((k * r) % g for r, g in zip(res, gammas)) for k in units})
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def _cyclic_subgroup_count(factors):
+    """Elements of order dividing e number prod gcd(e, f); Moebius
+    inversion gives those of order exactly d, and each cyclic subgroup
+    of order d has phi(d) generators."""
+    exponent = lcm(*factors)
+    divs = [e for e in range(1, exponent + 1) if exponent % e == 0]
+
+    def mobius(n):
+        out, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if n > 1 else out
+
+    total = 0
+    for d in divs:
+        exact = sum(mobius(d // e) * prod(gcd(e, f) for f in factors) for e in divs if d % e == 0)
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        assert exact % phi == 0
+        total += exact // phi
+    return total
+
+
+def test_orbit_report_matches_enumeration():
+    rng = random.Random(1303)
+    chains = [(1,), (7,), (2520,), (1, 1, 1, 1), (1, 1, 360), (2, 4, 4, 8), (240, 240)]
+    while len(chains) < 40:
+        chain, g = [], 1
+        for _ in range(rng.randint(1, 4)):
+            g *= rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 10))
+            chain.append(g)
+        if prod(chain) <= 60000:
+            chains.append(tuple(chain))
+    for chain in chains:
+        d = tuple(rng.randint(1, 3) for _ in chain) + (1,)
+        rep = rational_orbit_report(_chain_lattice(chain, d))
+        want = _enumerated_orbits(chain)
+        assert rep.invariant_factors == tuple(g for g in chain if g > 1)
+        assert [o.representative for o in rep.orbits] == [m[0] for m in want]
+        assert [o.members for o in rep.orbits] == want
+        assert [o.size for o in rep.orbits] == [len(m) for m in want]
+        assert [o.degree for o in rep.orbits] == [len(m) * max(d) for m in want]
+        assert len(want) == _cyclic_subgroup_count(chain)
+
+
+def test_orbit_report_at_scale():
+    lat = _chain_lattice((5040, 5040), (2, 3, 1))
+    start = time.perf_counter()
+    rep = rational_orbit_report(lat)
+    elapsed = time.perf_counter() - start
+    assert rep.torsion_order == 5040 * 5040 == 25_401_600
+    assert sum(o.size for o in rep.orbits) == rep.torsion_order
+    assert rep.to_report()["orbit_count"] == _cyclic_subgroup_count((5040, 5040))
+    assert elapsed < 5.0, f"5040 x 5040 orbit report took {elapsed:.2f} s"

@@ -7,6 +7,7 @@ from latkit import (
     PreconditionError,
     WeightedDigraph,
     WeightedGraph,
+    adjoint,
     laplacian,
     laplacian_digraph,
     laplacian_report,
@@ -170,6 +171,27 @@ def test_spanning_trees_match_deletion_contraction():
         assert spanning_tree_count(G) == _tree_count_oracle(n, wmap)
         trials += 1
     assert trials >= 20
+
+
+def test_every_laplacian_cofactor_is_the_tree_count():
+    # the adjugate is the oracle: each of its entries is a cofactor
+    rng = random.Random(4711)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        wmap = {(rng.randrange(v), v): rng.randint(1, 5) for v in range(1, n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    wmap.setdefault((i, j), rng.randint(1, 5))
+        G = WeightedGraph(n, [(i, j, w) for (i, j), w in wmap.items()])
+        count = spanning_tree_count(G)
+        adj = adjoint(laplacian(G))
+        assert all(adj.entry(i, j) == count for i in range(n) for j in range(n))
+
+
+def test_cayley_formula():
+    for n in range(2, 9):
+        assert spanning_tree_count(complete_graph(n)) == n ** (n - 2)
 
 
 def test_sandpile_degree_matches_tree_count_random():
