@@ -57,7 +57,6 @@ from .ideal import (
     MonomialOrder,
     affine_degree,
     colon_saturation,
-    groebner_basis,
     homogenize_ideal,
     is_lattice_ideal,
     matrix_ideal,

@@ -8,10 +8,9 @@ exponent tuples to nonzero Fractions.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
-from .ideal import Binomial, MonomialOrder
+from .ideal import Binomial, MonomialOrder, _divides, _groebner
 
 __all__ = [
     "poly_from_terms",
@@ -98,10 +97,6 @@ def _leading(p, cmp):
     return best
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def normal_form(p, basis, order: MonomialOrder):
     """Full division remainder of p modulo the basis polynomials."""
     cmp = order.compare
@@ -153,73 +148,22 @@ def _spoly(f, g, cmp):
 def reduced_basis(gens, order: MonomialOrder):
     """Reduced (monic, auto-reduced) Groebner basis; deterministic."""
     cmp = order.compare
+
+    def monic(p):
+        return poly_scale(p, Fraction(1) / p[_leading(p, cmp)]) if p else None
+
     basis = []
     for g in gens:
-        if g:
-            monic = poly_scale(g, Fraction(1) / g[_leading(g, cmp)])
-            if monic not in basis:
-                basis.append(monic)
-
-    pairs = []
-    treated = set()
-
-    def push_pairs(n):
-        ln = _leading(basis[n], cmp)
-        for k in range(n):
-            lk = _leading(basis[k], cmp)
-            lcm = tuple(max(a, b) for a, b in zip(lk, ln))
-            heapq.heappush(pairs, (sum(lcm), lcm, k, n))
-
-    for n in range(len(basis)):
-        push_pairs(n)
-    while pairs:
-        _, lcm, i, j = heapq.heappop(pairs)
-        treated.add((i, j))
-        li = _leading(basis[i], cmp)
-        lj = _leading(basis[j], cmp)
-        if lcm == tuple(a + b for a, b in zip(li, lj)):
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(_leading(basis[k], cmp), lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in treated and p2 in treated:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = normal_form(_spoly(basis[i], basis[j], cmp), basis, order)
-        if not s:
-            continue
-        s = poly_scale(s, Fraction(1) / s[_leading(s, cmp)])
-        basis.append(s)
-        push_pairs(len(basis) - 1)
-
-    # minimalize and tail-reduce
-    keep = []
-    leads = [_leading(g, cmp) for g in basis]
-    for i, g in enumerate(basis):
-        redundant = False
-        for j in range(len(basis)):
-            if j == i:
-                continue
-            if _divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        assert r, "minimal basis element reduced to zero"
-        r = poly_scale(r, Fraction(1) / r[_leading(r, cmp)])
-        out.append(r)
-    out.sort(key=_poly_key)
-    return out
+        g = monic(g)
+        if g is not None and g not in basis:
+            basis.append(g)
+    return _groebner(
+        basis,
+        lambda p: _leading(p, cmp),
+        lambda f, g: _spoly(f, g, cmp),
+        lambda p, others: monic(normal_form(p, others, order)),
+        _poly_key,
+    )
 
 
 def _poly_key(p):

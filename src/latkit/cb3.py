@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from ._genpoly import poly_add, poly_mul, poly_sub
 from .errors import IterationLimitError, PreconditionError
-from .exactmat import IntMatrix, rank as matrix_rank
+from .exactmat import IntMatrix, _ext_gcd, rank as matrix_rank
 from .ideal import (
     Binomial,
     BinomialIdeal,
@@ -33,21 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_EXPONENT_CAP = 10**6
-
-
-def _ext_gcd(a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ def _critical_data(lat: Lattice, index: int, max_exponent: int):
     steps of the index-coordinate gcd; for each a the solution set is
     a segment x0 + t*w0 and only its endpoints can carry the minimum."""
     row1, row2 = lat.basis()
-    g = gcd(row1[index], row2[index])
+    g, u, v = _ext_gcd(row1[index], row2[index])
     if g == 0:
         raise PreconditionError(
             "lattice touches the coordinate only trivially; no pure binomial"
@@ -109,7 +93,6 @@ def _critical_data(lat: Lattice, index: int, max_exponent: int):
         for x, y in zip(row1, row2)
     )
     assert any(w0), "rank-2 lattice must meet the coordinate hyperplane"
-    _, u, v = _ext_gcd(row1[index], row2[index])
     others = [c for c in range(3) if c != index]
     cmp = MonomialOrder.grevlex(3).compare
 

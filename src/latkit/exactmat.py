@@ -8,7 +8,6 @@ integer kernels. No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import PreconditionError
 
@@ -240,8 +239,7 @@ def smith_normal_form(mat: IntMatrix) -> SnfDecomposition:
             di, dj = a[i][i], a[j][j]
             if dj % di == 0:
                 continue
-            g = gcd(di, dj)
-            x, y = _ext_gcd(di, dj)
+            g, x, y = _ext_gcd(di, dj)
             bi, bj = di // g, dj // g
             # U = [[x, y], [-bj, bi]] on rows i,j; V = [[1, -y*bj], [1, x*bi]] on cols i,j
             _apply_2x2_rows(a, i, j, x, y, -bj, bi)
@@ -265,7 +263,7 @@ def smith_normal_form(mat: IntMatrix) -> SnfDecomposition:
 
 
 def _ext_gcd(a, b):
-    """x, y with x*a + y*b == gcd(a, b)."""
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
     old_r, r = a, b
     old_x, x = 1, 0
     old_y, y = 0, 1
@@ -275,8 +273,8 @@ def _ext_gcd(a, b):
         old_x, x = x, old_x - qt * x
         old_y, y = y, old_y - qt * y
     if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
 
 
 def _apply_2x2_rows(m, i, j, a11, a12, a21, a22):

@@ -13,6 +13,7 @@ order; tail None encodes a bare monomial t^lead.
 from __future__ import annotations
 
 import heapq
+import operator
 import threading
 
 from .errors import PreconditionError
@@ -24,7 +25,6 @@ __all__ = [
     "BinomialIdeal",
     "MonomialOrder",
     "matrix_ideal",
-    "groebner_basis",
     "saturate_variables",
     "is_lattice_ideal",
     "colon_saturation",
@@ -69,7 +69,7 @@ class Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return _divides(self.exponents, other.exponents)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -238,7 +238,7 @@ def _orient(a, b, cmp):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _reduce_element(elem, basis, cmp):
@@ -294,43 +294,42 @@ def _spair(f, g, cmp):
     return _orient(b, a, cmp)
 
 
-def _buchberger(gens, cmp):
-    """Reduced Groebner basis of the given elements under cmp."""
-    basis = []
-    for e in gens:
-        if e is None:
-            continue
-        lead, tail = e
-        if tail is not None:
-            pair = _orient(lead, tail, cmp)
-            if pair is None:
-                continue
-            e = pair
-        if e not in basis:
-            basis.append(e)
+def _groebner(elements, lead, s_reduce, reduce, sort_key):
+    """Reduced Groebner basis by Buchberger's algorithm: normal selection
+    strategy, product and chain criteria, then minimalization and tail
+    reduction.
 
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
-
+    Elements are opaque to the driver. lead(e) is the leading exponent
+    tuple of e; s_reduce(f, g) is the S-element of f and g, or None when
+    it vanishes outright; reduce(e, basis) is the normalized normal form
+    of e modulo basis, or None when that is zero; sort_key orders the
+    result. The input must be normalized and free of duplicates.
+    """
+    basis = list(elements)
+    leads = [lead(e) for e in basis]
     pairs = []
     treated = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            l = lcm_of(i, j)
-            heapq.heappush(pairs, (sum(l), l, j, i))
+
+    def push_pairs(n):
+        ln = leads[n]
+        for k in range(n):
+            l = tuple(map(max, leads[k], ln))
+            heapq.heappush(pairs, (sum(l), l, k, n))
+
+    for n in range(len(basis)):
+        push_pairs(n)
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
         treated.add((i, j))
-        fi, fj = basis[i], basis[j]
         # product criterion: disjoint leading supports
-        if lcm == tuple(a + b for a, b in zip(fi[0], fj[0])):
+        if lcm == tuple(map(operator.add, leads[i], leads[j])):
             continue
         # chain criterion
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(basis[k][0], lcm):
+            if _divides(leads[k], lcm):
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in treated and p2 in treated:
@@ -338,40 +337,49 @@ def _buchberger(gens, cmp):
                     break
         if skip:
             continue
-        s = _spair(fi, fj, cmp)
+        s = s_reduce(basis[i], basis[j])
         if s is None:
             continue
-        s = _reduce_element(s, basis, cmp)
+        s = reduce(s, basis)
         if s is None:
             continue
         basis.append(s)
-        n = len(basis) - 1
-        for k in range(n):
-            l = tuple(max(a, b) for a, b in zip(basis[k][0], s[0]))
-            heapq.heappush(pairs, (sum(l), l, k, n))
+        leads.append(lead(s))
+        push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
     keep = []
-    for i, e in enumerate(basis):
-        lead = e[0]
-        redundant = False
-        for j, other in enumerate(basis):
-            if j == i:
-                continue
-            if _divides(other[0], lead) and (other[0] != lead or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(e)
+    for i, li in enumerate(leads):
+        if not any(
+            _divides(lj, li) and (lj != li or j < i)
+            for j, lj in enumerate(leads)
+            if j != i
+        ):
+            keep.append(basis[i])
     # tail-reduce against the kept set for the reduced form
     reduced = []
     for idx, e in enumerate(keep):
-        others = [k for t, k in enumerate(keep) if t != idx]
-        r = _reduce_element(e, others, cmp)
-        assert r is not None and r[0] == e[0], "lead of a minimal element must survive"
+        r = reduce(e, keep[:idx] + keep[idx + 1:])
+        assert r is not None and lead(r) == lead(e), "lead of a minimal element must survive"
         reduced.append(r)
-    reduced.sort(key=_sort_key)
+    reduced.sort(key=sort_key)
     return reduced
+
+
+def _buchberger(gens, cmp):
+    """Reduced Groebner basis of the given binomial elements under cmp."""
+    basis = []
+    for lead, tail in gens:
+        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        if e is not None and e not in basis:
+            basis.append(e)
+    return _groebner(
+        basis,
+        operator.itemgetter(0),
+        lambda f, g: _spair(f, g, cmp),
+        lambda e, others: _reduce_element(e, others, cmp),
+        _sort_key,
+    )
 
 
 def _sort_key(elem):
@@ -468,47 +476,25 @@ def matrix_ideal(mat: IntMatrix) -> BinomialIdeal:
     return BinomialIdeal(mat.rows, gens)
 
 
-def groebner_basis(ideal: BinomialIdeal, order: MonomialOrder | None = None):
-    """Reduced Groebner basis, deterministic for a fixed order."""
-    return ideal.reduced_groebner(order)
-
-
-def _pad(t, extra):
-    return t + (0,) * extra
-
-
-def _eliminate_last(elements, s_total, keep):
-    """Keep elements supported on the first `keep` variables, truncated."""
-    out = []
-    for lead, tail in elements:
-        if any(lead[keep:]) or (tail is not None and any(tail[keep:])):
-            continue
-        out.append((lead[:keep], None if tail is None else tail[:keep]))
-    return out
+def _eliminate_marker(elems, s):
+    """Reduced basis of elems, which live in s + 1 variables, under the
+    order that eliminates the last (marker) variable. Returns the
+    marker-free elements truncated to the first s variables."""
+    order = MonomialOrder.elimination(s + 1, (s,))
+    return [
+        (lead[:s], None if tail is None else tail[:s])
+        for lead, tail in _buchberger(elems, order.compare)
+        if not lead[s] and (tail is None or not tail[s])
+    ]
 
 
 def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
     """(I : (t_1 ... t_s)^inf), the lattice ideal of the generators' vectors.
 
-    Adjoins an inverse marker w with t_1...t_s w - 1 and eliminates it.
     Idempotent; the result equals the input iff the input is already a
     lattice ideal.
     """
-    s = ideal.ambient_dim
-    if not ideal.generators:
-        return ideal
-    n = s + 1
-    elems = [(_pad(g.plus, 1), _pad(g.minus, 1)) for g in ideal.generators]
-    elems.append(((1,) * n, (0,) * n))
-    order = MonomialOrder.elimination(n, (s,))
-    basis = _buchberger(elems, order.compare)
-    kept = _eliminate_last(basis, n, s)
-    assert all(tail is not None for _, tail in kept)
-    out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
-    # the block order restricted to the surviving variables is GRevLex,
-    # so the kept elements are already the reduced GRevLex basis
-    out._prime_cache(MonomialOrder.grevlex(s), sorted(kept, key=_sort_key))
-    return out
+    return _saturate_by_monomial(ideal, (1,) * ideal.ambient_dim)
 
 
 def is_lattice_ideal(ideal: BinomialIdeal) -> bool:
@@ -523,14 +509,10 @@ def _colon_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
         raise PreconditionError("colon divisor must be a nonconstant monomial")
     if not ideal.generators:
         return ideal
-    n = s + 1
     elems = [(g.plus + (1,), g.minus + (1,)) for g in ideal.generators]
     elems.append((e + (1,), e + (0,)))  # y t^e and t^e, i.e. (1 - y) t^e
-    order = MonomialOrder.elimination(n, (s,))
-    basis = _buchberger(elems, order.compare)
-    kept = _eliminate_last(basis, n, s)
     gens = []
-    for lead, tail in kept:
+    for lead, tail in _eliminate_marker(elems, s):
         assert tail is not None
         assert _divides(e, lead) and _divides(e, tail), "intersection not in (t^e)"
         gens.append(
@@ -543,20 +525,20 @@ def _colon_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
 
 
 def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
-    """(I : (t^e)^inf) via an inverse marker variable."""
+    """(I : (t^e)^inf): adjoins a marker w with t^e w - 1 and eliminates it."""
     s = ideal.ambient_dim
     e = tuple(int(x) for x in exponent)
     if len(e) != s or any(x < 0 for x in e) or not any(e):
         raise PreconditionError("saturation divisor must be a nonconstant monomial")
     if not ideal.generators:
         return ideal
-    n = s + 1
-    elems = [(_pad(g.plus, 1), _pad(g.minus, 1)) for g in ideal.generators]
-    elems.append((e + (1,), (0,) * n))
-    order = MonomialOrder.elimination(n, (s,))
-    basis = _buchberger(elems, order.compare)
-    kept = _eliminate_last(basis, n, s)
+    elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
+    elems.append((e + (1,), (0,) * (s + 1)))
+    kept = _eliminate_marker(elems, s)
+    assert all(tail is not None for _, tail in kept)
     out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
+    # the block order restricted to the surviving variables is GRevLex,
+    # so the kept elements are already the reduced GRevLex basis
     out._prime_cache(MonomialOrder.grevlex(s), sorted(kept, key=_sort_key))
     return out
 
@@ -715,22 +697,17 @@ def vanishing_condition(ideal: BinomialIdeal) -> bool:
     """True iff every variable vanishes on the zero set of I + (t_i) for
     every i, decided by radical membership through saturations."""
     s = ideal.ambient_dim
-    base = [(g.plus, g.minus) for g in ideal.generators]
+    base = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
+    unit = [tuple(int(k == i) for k in range(s + 1)) for i in range(s)]
     for i in range(s):
-        ei = tuple(1 if k == i else 0 for k in range(s))
-        with_ti = base + [(ei, None)]
         for j in range(s):
             if j == i:
                 continue
-            n = s + 1
-            elems = [
-                (_pad(l, 1), None if t is None else _pad(t, 1)) for l, t in with_ti
-            ]
-            ej = tuple((1 if k == j else 0) for k in range(s)) + (1,)
-            elems.append((ej, (0,) * n))
-            order = MonomialOrder.elimination(n, (s,))
-            basis = _buchberger(elems, order.compare)
-            if not _is_unit_basis(basis):
+            # t_j lies in the radical of I + (t_i) iff adjoining t_j w - 1
+            # gives the unit ideal
+            marker = unit[j][:s] + (1,)
+            elems = base + [(unit[i], None), (marker, (0,) * (s + 1))]
+            if not _is_unit_basis(_eliminate_marker(elems, s)):
                 return False
     return True
 

@@ -9,8 +9,6 @@ from math import gcd
 from .errors import PreconditionError
 from .exactmat import (
     IntMatrix,
-    adjoint,
-    determinant,
     hermite_rows,
     integer_kernel,
     smith_normal_form,
@@ -173,9 +171,7 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
         ker = integer_kernel(IntMatrix(others))
         assert len(ker) == 1
         w = list(ker[0])
-        g = 0
-        for x in w:
-            g = gcd(g, x)
+        g = gcd(*w)
         w = [x // g for x in w]
         first = next(x for x in w if x != 0)
         if first < 0:
@@ -211,9 +207,7 @@ def positive_lattice_vector(basis, length):
             v = tuple(-x for x in v)
         else:
             return None
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         return tuple(x // g for x in v)
     # constraints: sum_i basis_i[j] * z_i >= 1 for each coordinate j
     constraints = [
@@ -256,9 +250,7 @@ def positive_lattice_vector(basis, length):
     zi = [int(q * scale) for q in z]
     vec = [sum(zi[i] * basis[i][j] for i in range(k)) for j in range(length)]
     assert all(x > 0 for x in vec)
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     return tuple(x // g for x in vec)
 
 
@@ -310,15 +302,18 @@ def p_saturation(lat: Lattice, p: int) -> Lattice:
         raise PreconditionError(f"{p} is not prime")
     if not lat.generators:
         return lat
-    s = lat.ambient_dim
-    dec = smith_normal_form(lat.generator_matrix())
-    pinv = adjoint(dec.P)
-    if determinant(dec.P) < 0:
-        pinv = IntMatrix([[-x for x in row] for row in pinv])
+    mat = lat.generator_matrix()
+    dec = smith_normal_form(mat)
+    # P*mat*Q = diag(gamma), so column i of mat*Q is gamma_i times
+    # column i of P^-1; dividing by the p-part of gamma_i strips it
+    cols = mat * dec.Q
     gens = []
     for i, g in enumerate(dec.gamma):
+        q = 1
         while g % p == 0:
             g //= p
-        col = pinv.column(i)
-        gens.append(tuple(g * x for x in col))
-    return Lattice(s, gens)
+            q *= p
+        col = cols.column(i)
+        assert all(x % q == 0 for x in col), "p-part must divide its column"
+        gens.append(tuple(x // q for x in col))
+    return Lattice(lat.ambient_dim, gens)

@@ -201,3 +201,16 @@ def test_hermite_is_lattice_invariant(gens):
     # adding sums of generators leaves the row lattice unchanged
     extra = [tuple(a + b for a, b in zip(gens[0], gens[-1]))]
     assert hermite_rows(list(gens) + extra, 2) == base
+
+
+def test_ext_gcd_returns_nonnegative_gcd_and_bezout_pair():
+    from math import gcd
+
+    from latkit.exactmat import _ext_gcd
+
+    rng = random.Random(97)
+    cases = [(0, 0), (0, -5), (-6, 0), (12, -18)]
+    cases += [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(200)]
+    for a, b in cases:
+        g, x, y = _ext_gcd(a, b)
+        assert g == gcd(a, b) and x * a + y * b == g

@@ -11,6 +11,7 @@ from latkit import (
     laplacian,
     laplacian_digraph,
     laplacian_report,
+    minor_gcd,
     sandpile_group,
     spanning_tree_count,
     toppling_ideal,
@@ -187,6 +188,7 @@ def test_every_laplacian_cofactor_is_the_tree_count():
         count = spanning_tree_count(G)
         adj = adjoint(laplacian(G))
         assert all(adj.entry(i, j) == count for i in range(n) for j in range(n))
+        assert minor_gcd(laplacian(G), n - 1) == count
 
 
 def test_cayley_formula():

@@ -232,3 +232,118 @@ def test_minimal_generator_count_requires_grading():
     assert minimal_generator_count(saturate_variables(I), (5, 6, 7)) == 3
     with pytest.raises(PreconditionError):
         minimal_generator_count(I, (1, 1))  # wrong length
+
+
+# ---------------------------------------------------------------------------
+# an oracle for reduced Groebner bases that shares no code with the engine:
+# its own order keys, integer polynomials as dicts, and naive division
+
+
+def _grevlex_key(a):
+    return (sum(a), tuple(-x for x in reversed(a)))
+
+
+def _elimination_key(eliminated):
+    # eliminated block compared first, GRevLex inside each block
+    def key(a):
+        elim = [a[i] for i in eliminated]
+        rest = [a[i] for i in range(len(a)) if i not in eliminated]
+        return (_grevlex_key(elim), _grevlex_key(rest))
+
+    return key
+
+
+def _naive_remainder(poly, basis, key):
+    """Remainder of poly under division by basis; each basis entry is
+    (lead, polynomial) with lead coefficient +-1."""
+    work = dict(poly)
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lead, g in basis:
+            if all(x <= y for x, y in zip(lead, m)):
+                factor = c * g[lead]  # g[lead] is +-1, its own inverse
+                shift = [x - y for x, y in zip(m, lead)]
+                for e, ce in g.items():
+                    if e == lead:
+                        continue
+                    e2 = tuple(x + y for x, y in zip(e, shift))
+                    v = work.get(e2, 0) - factor * ce
+                    if v:
+                        work[e2] = v
+                    else:
+                        work.pop(e2, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _random_binomial_ideal(rng):
+    s = rng.randint(2, 4)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        v = [rng.randint(-3, 3) for _ in range(s)]
+        if any(v):
+            gens.append(B(v))
+    return BinomialIdeal(s, gens)
+
+
+def _random_ideals(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ideal = _random_binomial_ideal(rng)
+        if ideal.generators:
+            out.append(ideal)
+    return out
+
+
+def test_reduced_groebner_passes_naive_oracle():
+    for ideal in _random_ideals(2718, 40):
+        s = ideal.ambient_dim
+        for order, key in (
+            (MonomialOrder.grevlex(s), _grevlex_key),
+            (MonomialOrder.elimination(s, (0,)), _elimination_key((0,))),
+            (MonomialOrder.elimination(s, (s - 1,)), _elimination_key((s - 1,))),
+        ):
+            basis = []
+            for b in ideal.reduced_groebner(order):
+                lead = max(b.plus, b.minus, key=key)
+                basis.append((lead, {lead: 1, min(b.plus, b.minus, key=key): -1}))
+            # reduced: no lead divides any term of another element
+            for i, (lead, _) in enumerate(basis):
+                for j, (_, g) in enumerate(basis):
+                    if i != j:
+                        assert not any(
+                            all(x <= y for x, y in zip(lead, e)) for e in g
+                        ), (ideal, order.cache_key)
+            # a Groebner basis: every S-polynomial reduces to 0
+            for i, (li, gi) in enumerate(basis):
+                for lj, gj in basis[:i]:
+                    lcm = tuple(map(max, li, lj))
+                    spoly = {}
+                    for lead, g, sign in ((li, gi, gj[lj]), (lj, gj, -gi[li])):
+                        for e, c in g.items():
+                            e2 = tuple(x + y - z for x, y, z in zip(e, lcm, lead))
+                            spoly[e2] = spoly.get(e2, 0) + sign * c
+                    spoly = {e: c for e, c in spoly.items() if c}
+                    assert _naive_remainder(spoly, basis, key) == {}
+            # of an ideal containing every input generator
+            for g in ideal.generators:
+                assert _naive_remainder({g.plus: 1, g.minus: -1}, basis, key) == {}
+
+
+def test_saturate_variables_is_saturation_by_the_variable_product():
+    from latkit.ideal import _saturate_by_monomial
+
+    for ideal in _random_ideals(1618, 25):
+        s = ideal.ambient_dim
+        sat = saturate_variables(ideal)
+        assert sat == _saturate_by_monomial(ideal, (1,) * s)
+        # independent route: saturate by one variable at a time
+        seq = ideal
+        for i in range(s):
+            seq = _saturate_by_monomial(seq, tuple(int(k == i) for k in range(s)))
+        assert sat == seq

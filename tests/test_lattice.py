@@ -7,8 +7,10 @@ from latkit import (
     IntMatrix,
     Lattice,
     PreconditionError,
+    adjoint,
     critical_group,
     defining_matrix,
+    determinant,
     grading_vector,
     homogenize_lattice,
     homogenize_vector,
@@ -195,6 +197,34 @@ def test_p_saturation_removes_exactly_p_part():
             while m % p == 0:
                 m //= p
             assert n == m
+
+
+def _p_saturation_by_inverse(lat, p):
+    # oracle: invert P by its adjugate, then scale column i of P^-1 by
+    # gamma_i with its p-part stripped
+    dec = smith_normal_form(lat.generator_matrix())
+    pinv = adjoint(dec.P)
+    if determinant(dec.P) < 0:
+        pinv = IntMatrix([[-x for x in row] for row in pinv])
+    gens = []
+    for i, g in enumerate(dec.gamma):
+        while g % p == 0:
+            g //= p
+        gens.append(tuple(g * x for x in pinv.column(i)))
+    return tuple(gens)
+
+
+def test_p_saturation_matches_adjugate_inverse():
+    rng = random.Random(8128)
+    for _ in range(400):
+        s = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(-9, 9) for _ in range(s))
+            for _ in range(rng.randint(1, 5))
+        ]
+        lat = Lattice(s, gens)
+        for p in (2, 3, 5):
+            assert p_saturation(lat, p).generators == _p_saturation_by_inverse(lat, p)
 
 
 def test_critical_group_from_generator_matrix_snf():
