@@ -8,6 +8,7 @@ exponent tuples to nonzero Fractions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .ideal import Binomial, MonomialOrder, _divides, _groebner
@@ -100,13 +101,17 @@ def _leading(p, cmp):
 def normal_form(p, basis, order: MonomialOrder):
     """Full division remainder of p modulo the basis polynomials."""
     cmp = order.compare
+    return _remainder(p, [(_leading(g, cmp), g) for g in basis if g], cmp)
+
+
+def _remainder(p, pairs, cmp):
+    """normal_form against (lead, polynomial) pairs whose leads are known."""
     rem = {}
     work = dict(p)
-    pairs = [(g, _leading(g, cmp)) for g in basis if g]
     while work:
         lt = _leading(work, cmp)
         lc = work[lt]
-        for g, lg in pairs:
+        for lg, g in pairs:
             if _divides(lg, lt):
                 shift = tuple(a - b for a, b in zip(lt, lg))
                 factor = lc / g[lg]
@@ -124,8 +129,10 @@ def normal_form(p, basis, order: MonomialOrder):
     return rem
 
 
-def _spoly(f, g, cmp):
-    lf, lg = _leading(f, cmp), _leading(g, cmp)
+def _spoly(fe, ge):
+    """S-polynomial of two (lead, polynomial) pairs."""
+    lf, f = fe
+    lg, g = ge
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     sf = tuple(a - b for a, b in zip(lcm, lf))
     sg = tuple(a - b for a, b in zip(lcm, lg))
@@ -150,20 +157,25 @@ def reduced_basis(gens, order: MonomialOrder):
     cmp = order.compare
 
     def monic(p):
-        return poly_scale(p, Fraction(1) / p[_leading(p, cmp)]) if p else None
+        """(lead, p scaled to lead coefficient 1), or None for p = 0."""
+        if not p:
+            return None
+        lead = _leading(p, cmp)
+        return lead, poly_scale(p, Fraction(1) / p[lead])
 
     basis = []
     for g in gens:
         g = monic(g)
         if g is not None and g not in basis:
             basis.append(g)
-    return _groebner(
+    reduced = _groebner(
         basis,
-        lambda p: _leading(p, cmp),
-        lambda f, g: _spoly(f, g, cmp),
-        lambda p, others: monic(normal_form(p, others, order)),
-        _poly_key,
+        operator.itemgetter(0),
+        lambda f, g: monic(_spoly(f, g)),
+        lambda e, others: monic(_remainder(e[1], others, cmp)),
+        lambda e: _poly_key(e[1]),
     )
+    return [p for _, p in reduced]
 
 
 def _poly_key(p):

