@@ -27,7 +27,7 @@ from .degree import (
     degree_matrix_ideal,
     degree_toric,
 )
-from .errors import IterationLimitError, LatkitError, ParseError, PreconditionError
+from .errors import InternalError, IterationLimitError, LatkitError, ParseError, PreconditionError
 from .exactmat import (
     IntMatrix,
     SnfDecomposition,

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps PreconditionError to exit code 1 and ParseError to exit
-code 2; everything else is a bug.
+code 2; everything else is a bug. InternalError marks such a bug found
+by a check inside the library: an invariant of a computation failed.
 """
 
 
@@ -19,3 +20,7 @@ class IterationLimitError(PreconditionError):
 
 class ParseError(LatkitError):
     """Malformed input text or file."""
+
+
+class InternalError(LatkitError):
+    """An internal invariant failed; the library, not the input, is at fault."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import operator
 
-from .errors import PreconditionError
+from .errors import InternalError, IterationLimitError, PreconditionError
 from .exactmat import IntMatrix
 
 __all__ = [
@@ -370,17 +370,23 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key):
         s = reduce(s, live)
         if s is not None:
             update(s)
+    return _interreduce(live, lead, reduce, sort_key)
 
+
+def _interreduce(elements, lead, reduce, sort_key):
+    """The reduced Groebner basis from any Groebner basis: minimalization,
+    tail reduction and the final sort, with _groebner's element
+    operations."""
     # minimalize: drop elements whose lead is divisible by another kept lead
-    live_leads = [leads[k] for k in active]
+    leads = [lead(e) for e in elements]
     keep = []
-    for i, li in enumerate(live_leads):
+    for i, li in enumerate(leads):
         if not any(
             _divides(lj, li) and (lj != li or j < i)
-            for j, lj in enumerate(live_leads)
+            for j, lj in enumerate(leads)
             if j != i
         ):
-            keep.append(live[i])
+            keep.append(elements[i])
     # tail-reduce against the kept set for the reduced form
     reduced = []
     for idx, e in enumerate(keep):
@@ -522,7 +528,11 @@ def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
 
     Idempotent; the result equals the input iff the input is already a
     lattice ideal. Computed once per ideal object and cached on it; the
-    result is recorded as its own saturation.
+    result is recorded as its own saturation. An ideal homogeneous in
+    the standard grading is saturated through reverse-lex bases, by t_s
+    alone when the vanishing condition holds (one division of its cached
+    GRevLex basis); any other ideal by one marker elimination. See
+    _saturate_by_monomial.
     """
     hit = ideal._cache.get(_SATURATION)
     if hit is None:
@@ -563,21 +573,103 @@ def _colon_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
 
 
 def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
-    """(I : (t^e)^inf): adjoins a marker w with t^e w - 1 and eliminates it."""
+    """(I : (t^e)^inf), with its reduced GRevLex basis as generators.
+
+    An ideal whose generators have equal total degree on both sides is
+    saturated one variable of supp(e) at a time through reverse-lex
+    bases (_saturate_graded). When e involves every variable and the
+    vanishing condition holds, saturating by t_s alone is enough: an
+    associated prime P of J = I : t_s^inf that contains some t_j has
+    V(P) inside V(I + (t_j)) = {0}, so P would be the maximal ideal, which
+    contains t_s, a nonzerodivisor modulo J. So no variable lies in an
+    associated prime of J, and J = I : (t_1 ... t_s)^inf. Other ideals
+    take the marker elimination (_saturate_by_marker).
+    """
     s = ideal.ambient_dim
     e = tuple(int(x) for x in exponent)
     if len(e) != s or any(x < 0 for x in e) or not any(e):
         raise PreconditionError("saturation divisor must be a nonconstant monomial")
     if not ideal.generators:
         return ideal
+    if all(g.is_homogeneous((1,) * s) for g in ideal.generators):
+        if all(e) and vanishing_condition(ideal):
+            variables = [s - 1]
+        else:
+            variables = [i for i in range(s) if e[i]]
+        kept = _saturate_graded(ideal, variables)
+    else:
+        kept = _saturate_by_marker(ideal, e)
+    out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
+    out._prime_cache(MonomialOrder.grevlex(s), kept)
+    return out
+
+
+def _saturate_by_marker(ideal: BinomialIdeal, e):
+    """Reduced GRevLex basis of (I : (t^e)^inf), sorted: adjoins a marker w
+    with t^e w - 1 and eliminates it."""
+    s = ideal.ambient_dim
     elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
     elems.append((e + (1,), (0,) * (s + 1)))
     kept = _eliminate_marker(elems, s)
     assert all(tail is not None for _, tail in kept)
-    out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
     # the block order restricted to the surviving variables is GRevLex,
     # so the kept elements are already the reduced GRevLex basis
-    out._prime_cache(MonomialOrder.grevlex(s), sorted(kept, key=_sort_key))
+    return sorted(kept, key=_sort_key)
+
+
+def _saturate_graded(ideal: BinomialIdeal, variables):
+    """Reduced GRevLex basis of (I : (prod of t_i, i in variables)^inf),
+    sorted, for an ideal generated by binomials homogeneous in the
+    standard grading; variables is increasing.
+
+    Bayer-Stillman ("A criterion for detecting m-regularity", Invent.
+    Math. 87, 1987): in a GRevLex order with t_i last, dividing every
+    element of a Groebner basis of I by its largest power of t_i gives a
+    Groebner basis of I : t_i^inf. Each variable is moved last by a
+    permutation of the coordinates. t_s is last in the natural order: as
+    the first step it starts from the ideal's cached basis, and as the
+    last step it ends in a GRevLex basis that only needs interreducing.
+    """
+    s = ideal.ambient_dim
+    elems = None  # the current generators; None while they are I's own
+    for i in variables:
+        def last(x):
+            return x[:i] + x[i + 1:] + x[i:i + 1]
+
+        def back(x):
+            return x[:i] + x[-1:] + x[i:-1]
+
+        if elems is None and i == s - 1:
+            basis = ideal._gb_elements(MonomialOrder.grevlex(s))
+        else:
+            source = ideal._elements() if elems is None else elems
+            basis = _buchberger([(last(l), last(t)) for l, t in source], _grevlex_cmp)
+        elems = [(back(l), back(t)) for l, t in _divide_out_last(basis)]
+    if variables[-1] == s - 1:
+        return _interreduce(
+            elems,
+            operator.itemgetter(0),
+            lambda e, others: _reduce_element(e, others, _grevlex_cmp),
+            _sort_key,
+        )
+    return _buchberger(elems, _grevlex_cmp)
+
+
+def _divide_out_last(basis):
+    """Each (lead, tail) divided by the power of the last variable in its
+    lead. For an element of equal total degrees led in GRevLex, that
+    power also divides the tail; an element where it does not is a bug."""
+    out = []
+    for lead, tail in basis:
+        k = lead[-1]
+        if k:
+            if tail[-1] < k:
+                raise InternalError(
+                    f"last variable divides the lead {lead} more than the tail {tail}"
+                )
+            lead = lead[:-1] + (0,)
+            tail = tail[:-1] + (tail[-1] - k,)
+        out.append((lead, tail))
     return out
 
 
@@ -592,7 +684,7 @@ def colon_saturation(ideal: BinomialIdeal, h_exponent, max_power=10000):
         power = tuple(a * x for x in e)
         if _colon_by_monomial(ideal, power) == sat:
             return sat, a
-    raise PreconditionError("colon powers did not stabilize within the cap")
+    raise IterationLimitError("colon powers did not stabilize within the cap")
 
 
 def homogenize_ideal(ideal: BinomialIdeal) -> BinomialIdeal:
@@ -733,20 +825,35 @@ def _divide_one_minus_t(num):
 
 def vanishing_condition(ideal: BinomialIdeal) -> bool:
     """True iff every variable vanishes on the zero set of I + (t_i) for
-    every i, decided by radical membership through saturations."""
+    every i, that is, iff every zero of I with a zero coordinate is the
+    origin.
+
+    Decided from supports (Eisenbud and Sturmfels, "Binomial ideals",
+    Duke Math. J. 84, 1996): I has a zero with support exactly sigma iff
+    for every generator t^a - t^b, supp(a) lies in sigma exactly when
+    supp(b) does (set the coordinates in sigma to 1). Such sets are
+    closed under intersection, so the condition fails iff the least one
+    holding some variable j is nonempty and proper. That least set grows
+    from {j}: a generator with one side's support inside it forces the
+    other side's support in.
+    """
     s = ideal.ambient_dim
-    base = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
-    unit = [tuple(int(k == i) for k in range(s + 1)) for i in range(s)]
-    for i in range(s):
-        for j in range(s):
-            if j == i:
-                continue
-            # t_j lies in the radical of I + (t_i) iff adjoining t_j w - 1
-            # gives the unit ideal
-            marker = unit[j][:s] + (1,)
-            elems = base + [(unit[i], None), (marker, (0,) * (s + 1))]
-            if not _is_unit_basis(_eliminate_marker(elems, s)):
-                return False
+    everything = (1 << s) - 1
+    sides = [
+        tuple(sum(1 << k for k, x in enumerate(m) if x) for m in (g.plus, g.minus))
+        for g in ideal.generators
+    ]
+    for j in range(s):
+        sigma = 1 << j
+        grown = True
+        while grown:
+            grown = False
+            for a, b in sides:
+                if (a & sigma == a) != (b & sigma == b):
+                    sigma |= a | b
+                    grown = True
+        if sigma != everything:
+            return False
     return True
 
 

@@ -6,6 +6,7 @@ from latkit import (
     Binomial,
     BinomialIdeal,
     IntMatrix,
+    IterationLimitError,
     Lattice,
     Monomial,
     MonomialOrder,
@@ -164,6 +165,13 @@ def test_colon_saturation_respects_cap():
     I = _vector_ideal([(2, -1, -1), (-3, 1, -1)])
     with pytest.raises(PreconditionError):
         colon_saturation(I, (1, 0, 0), max_power=0)
+
+
+def test_colon_saturation_cap_raises_iteration_limit():
+    I = _vector_ideal([(2, -1, -1), (-3, 1, -1)])
+    with pytest.raises(PreconditionError) as caught:
+        colon_saturation(I, (1, 0, 0), max_power=0)
+    assert caught.type is IterationLimitError
 
 
 def test_homogenize_ideal():
@@ -555,3 +563,193 @@ def test_threads_share_one_cached_basis_and_saturation():
     assert all(r[1] is sat for r in results)
     assert saturate_variables(I) is sat
     assert sat == BinomialIdeal(3, binomials(TORSION2_CRITICAL_PAIRS))
+
+
+# ---------------------------------------------------------------------------
+# the vanishing condition by radical membership: t_j lies in the radical of
+# I + (t_i) iff adjoining t_j w - 1 and eliminating w gives the unit ideal,
+# s(s - 1) marker eliminations. The oracle for the support test.
+
+
+def _vanishing_condition_by_elimination(ideal):
+    from latkit.ideal import _eliminate_marker, _is_unit_basis
+
+    s = ideal.ambient_dim
+    base = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
+    unit = [tuple(int(k == i) for k in range(s + 1)) for i in range(s)]
+    for i in range(s):
+        for j in range(s):
+            if j == i:
+                continue
+            marker = unit[j][:s] + (1,)
+            elems = base + [(unit[i], None), (marker, (0,) * (s + 1))]
+            if not _is_unit_basis(_eliminate_marker(elems, s)):
+                return False
+    return True
+
+
+def _random_generator(rng, s):
+    """A binomial of one of four shapes: from a vector (disjoint
+    supports), two random monomials (overlapping supports), t^a - 1, or
+    a vector with zero sum (equal total degrees)."""
+    kind = rng.randrange(4 if s > 1 else 3)
+    while True:
+        if kind == 0:
+            v = [rng.randint(-2, 2) for _ in range(s)]
+            if any(v):
+                return B(v)
+        elif kind == 1:
+            p = tuple(rng.randint(0, 2) for _ in range(s))
+            q = tuple(rng.randint(0, 2) for _ in range(s))
+            if p != q:
+                return Binomial(p, q)
+        elif kind == 2:
+            p = tuple(rng.randint(0, 2) for _ in range(s))
+            if any(p):
+                return Binomial(p, (0,) * s)
+        else:
+            return _zero_sum_binomial(rng, s)
+
+
+def _zero_sum_binomial(rng, s):
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(s)]
+        v[rng.randrange(s)] -= sum(v)
+        if any(v):
+            return B(v)
+
+
+def test_vanishing_condition_matches_elimination_oracle():
+    rng = random.Random(6060)
+    verdicts = []
+    for n in range(600):
+        s = 1 + n % 6
+        # up to s + 1 generators; none at all for about one in s + 2
+        ideal = BinomialIdeal(s, [_random_generator(rng, s) for _ in range(rng.randint(0, s + 1))])
+        want = _vanishing_condition_by_elimination(ideal)
+        assert vanishing_condition(ideal) is want, ideal
+        verdicts.append(want)
+    for s in range(1, 7):
+        empty = BinomialIdeal(s, [])
+        assert vanishing_condition(empty) is _vanishing_condition_by_elimination(empty) is (s == 1)
+    assert verdicts.count(True) >= 150 and verdicts.count(False) >= 150
+
+
+def test_vanishing_condition_on_square_matrix_ideals():
+    rng = random.Random(6161)
+    verdicts = []
+    for _ in range(60):
+        s = rng.randint(2, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
+        for j in range(s):
+            if not any(r[j] for r in rows):
+                rows[rng.randrange(s)][j] = 1
+        ideal = matrix_ideal(IntMatrix(rows))
+        want = _vanishing_condition_by_elimination(ideal)
+        assert vanishing_condition(ideal) is want, rows
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# graded saturation through reverse-lex bases against the marker elimination
+
+
+def _graded_generator(rng, s):
+    """A binomial with equal total degrees on its two sides."""
+    if rng.random() < 0.5:
+        return _zero_sum_binomial(rng, s)
+    d = rng.randint(1, 3)
+    while True:
+        p, q = [0] * s, [0] * s
+        for _ in range(d):
+            p[rng.randrange(s)] += 1
+            q[rng.randrange(s)] += 1
+        if p != q:
+            return Binomial(p, q)
+
+
+def _marker_basis(ideal, e):
+    from latkit.ideal import _saturate_by_marker
+
+    return tuple(Binomial(l, t) for l, t in _saturate_by_marker(ideal, e))
+
+
+def test_graded_saturation_matches_marker_path():
+    from latkit.ideal import _saturate_by_monomial
+
+    rng = random.Random(3141)
+    verdicts = []
+    for _ in range(120):
+        s = rng.randint(2, 5)
+        gens = [_graded_generator(rng, s) for _ in range(rng.randint(1, s + 1))]
+        ideal = BinomialIdeal(s, gens)
+        verdicts.append(vanishing_condition(ideal))
+        e = tuple(rng.randint(0, 2) for _ in range(s))
+        for exponent in ((1,) * s, e) if any(e) else ((1,) * s,):
+            want = _marker_basis(ideal, exponent)
+            got = _saturate_by_monomial(BinomialIdeal(s, gens), exponent)
+            assert got.generators == want, (ideal, exponent)
+            assert got.reduced_groebner() == want
+        assert saturate_variables(ideal).generators == _marker_basis(ideal, (1,) * s)
+    # the shortcut (saturate by t_s alone) and the per-variable loop both ran
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_graded_saturation_matches_marker_path_laplacians():
+    from latkit import WeightedGraph, laplacian
+
+    rng = random.Random(8008)
+    for n in (6, 6, 7, 7):
+        edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
+        while len(edges) < n + 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.setdefault((i, j), rng.randint(1, 3))
+        ideal = matrix_ideal(laplacian(WeightedGraph(n, [(i, j, w) for (i, j), w in edges.items()])))
+        assert vanishing_condition(ideal)
+        assert saturate_variables(ideal).generators == _marker_basis(ideal, (1,) * n), edges
+
+
+def test_ungraded_ideal_takes_the_marker_path(monkeypatch):
+    import latkit.ideal as ideal_module
+
+    calls = []
+    marker = ideal_module._saturate_by_marker
+
+    def counted(ideal, e):
+        calls.append(e)
+        return marker(ideal, e)
+
+    monkeypatch.setattr(ideal_module, "_saturate_by_marker", counted)
+    I = _vector_ideal(list(AFFINE_CURVE_GENERATORS))
+    assert saturate_variables(I) == BinomialIdeal(3, binomials(AFFINE_CURVE_SATURATION_PAIRS))
+    assert calls == [(1, 1, 1)]
+    # a graded ideal does not
+    graded = _vector_ideal([(1, -1, 0), (2, 0, -2)])
+    saturate_variables(graded)
+    assert calls == [(1, 1, 1)]
+
+
+def test_divide_out_last_raises_internal_error_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from latkit.errors import InternalError\n"
+        "from latkit.ideal import _divide_out_last\n"
+        "assert sys.flags.optimize\n"
+        "assert _divide_out_last([((1, 1), (0, 2))]) == [((1, 0), (0, 1))]\n"
+        "try:\n"
+        "    _divide_out_last([((0, 2), (1, 0))])\n"
+        "except InternalError:\n"
+        "    print('InternalError')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "InternalError"
