@@ -529,10 +529,9 @@ def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
     Idempotent; the result equals the input iff the input is already a
     lattice ideal. Computed once per ideal object and cached on it; the
     result is recorded as its own saturation. An ideal homogeneous in
-    the standard grading is saturated through reverse-lex bases, by t_s
-    alone when the vanishing condition holds (one division of its cached
-    GRevLex basis); any other ideal by one marker elimination. See
-    _saturate_by_monomial.
+    the standard grading for which the vanishing condition holds is
+    saturated by t_s alone, by one division of its cached GRevLex basis;
+    any other ideal by one marker elimination. See _saturate_by_monomial.
     """
     hit = ideal._cache.get(_SATURATION)
     if hit is None:
@@ -575,15 +574,18 @@ def _colon_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
 def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
     """(I : (t^e)^inf), with its reduced GRevLex basis as generators.
 
-    An ideal whose generators have equal total degree on both sides is
-    saturated one variable of supp(e) at a time through reverse-lex
-    bases (_saturate_graded). When e involves every variable and the
-    vanishing condition holds, saturating by t_s alone is enough: an
-    associated prime P of J = I : t_s^inf that contains some t_j has
-    V(P) inside V(I + (t_j)) = {0}, so P would be the maximal ideal, which
-    contains t_s, a nonzerodivisor modulo J. So no variable lies in an
-    associated prime of J, and J = I : (t_1 ... t_s)^inf. Other ideals
-    take the marker elimination (_saturate_by_marker).
+    When e involves every variable, the generators have equal total
+    degree on both sides and the vanishing condition holds, the
+    saturation by t_s alone is enough, and it comes from I's cached
+    GRevLex basis. Bayer-Stillman ("A criterion for detecting
+    m-regularity", Invent. Math. 87, 1987): in GRevLex, where t_s is
+    last, dividing every element of a Groebner basis of a homogeneous I
+    by its power of t_s gives a Groebner basis of J = I : t_s^inf. An
+    associated prime P of J that contains some t_j has V(P) inside
+    V(I + (t_j)) = {0}, so P would be the maximal ideal, which contains
+    t_s, a nonzerodivisor modulo J. So no variable lies in an associated
+    prime of J, and J = I : (t_1 ... t_s)^inf. Every other ideal takes
+    the marker elimination (_saturate_by_marker).
     """
     s = ideal.ambient_dim
     e = tuple(int(x) for x in exponent)
@@ -591,12 +593,17 @@ def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
         raise PreconditionError("saturation divisor must be a nonconstant monomial")
     if not ideal.generators:
         return ideal
-    if all(g.is_homogeneous((1,) * s) for g in ideal.generators):
-        if all(e) and vanishing_condition(ideal):
-            variables = [s - 1]
-        else:
-            variables = [i for i in range(s) if e[i]]
-        kept = _saturate_graded(ideal, variables)
+    if (
+        all(e)
+        and all(g.is_homogeneous((1,) * s) for g in ideal.generators)
+        and vanishing_condition(ideal)
+    ):
+        kept = _interreduce(
+            _divide_out_last(ideal._gb_elements(MonomialOrder.grevlex(s))),
+            operator.itemgetter(0),
+            lambda x, others: _reduce_element(x, others, _grevlex_cmp),
+            _sort_key,
+        )
     else:
         kept = _saturate_by_marker(ideal, e)
     out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
@@ -615,44 +622,6 @@ def _saturate_by_marker(ideal: BinomialIdeal, e):
     # the block order restricted to the surviving variables is GRevLex,
     # so the kept elements are already the reduced GRevLex basis
     return sorted(kept, key=_sort_key)
-
-
-def _saturate_graded(ideal: BinomialIdeal, variables):
-    """Reduced GRevLex basis of (I : (prod of t_i, i in variables)^inf),
-    sorted, for an ideal generated by binomials homogeneous in the
-    standard grading; variables is increasing.
-
-    Bayer-Stillman ("A criterion for detecting m-regularity", Invent.
-    Math. 87, 1987): in a GRevLex order with t_i last, dividing every
-    element of a Groebner basis of I by its largest power of t_i gives a
-    Groebner basis of I : t_i^inf. Each variable is moved last by a
-    permutation of the coordinates. t_s is last in the natural order: as
-    the first step it starts from the ideal's cached basis, and as the
-    last step it ends in a GRevLex basis that only needs interreducing.
-    """
-    s = ideal.ambient_dim
-    elems = None  # the current generators; None while they are I's own
-    for i in variables:
-        def last(x):
-            return x[:i] + x[i + 1:] + x[i:i + 1]
-
-        def back(x):
-            return x[:i] + x[-1:] + x[i:-1]
-
-        if elems is None and i == s - 1:
-            basis = ideal._gb_elements(MonomialOrder.grevlex(s))
-        else:
-            source = ideal._elements() if elems is None else elems
-            basis = _buchberger([(last(l), last(t)) for l, t in source], _grevlex_cmp)
-        elems = [(back(l), back(t)) for l, t in _divide_out_last(basis)]
-    if variables[-1] == s - 1:
-        return _interreduce(
-            elems,
-            operator.itemgetter(0),
-            lambda e, others: _reduce_element(e, others, _grevlex_cmp),
-            _sort_key,
-        )
-    return _buchberger(elems, _grevlex_cmp)
 
 
 def _divide_out_last(basis):

@@ -652,7 +652,8 @@ def test_vanishing_condition_on_square_matrix_ideals():
 
 
 # ---------------------------------------------------------------------------
-# graded saturation through reverse-lex bases against the marker elimination
+# the t_s shortcut (graded ideal, vanishing condition) against the marker
+# elimination; the other cases run the marker path against itself
 
 
 def _graded_generator(rng, s):
@@ -692,7 +693,7 @@ def test_graded_saturation_matches_marker_path():
             assert got.generators == want, (ideal, exponent)
             assert got.reduced_groebner() == want
         assert saturate_variables(ideal).generators == _marker_basis(ideal, (1,) * s)
-    # the shortcut (saturate by t_s alone) and the per-variable loop both ran
+    # both the shortcut (saturate by t_s alone) and the marker path ran
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
@@ -724,10 +725,22 @@ def test_ungraded_ideal_takes_the_marker_path(monkeypatch):
     I = _vector_ideal(list(AFFINE_CURVE_GENERATORS))
     assert saturate_variables(I) == BinomialIdeal(3, binomials(AFFINE_CURVE_SATURATION_PAIRS))
     assert calls == [(1, 1, 1)]
-    # a graded ideal does not
+    # a graded ideal with the vanishing condition, saturated by every
+    # variable, does not
     graded = _vector_ideal([(1, -1, 0), (2, 0, -2)])
+    assert vanishing_condition(graded)
     saturate_variables(graded)
     assert calls == [(1, 1, 1)]
+    # a divisor missing a variable does, and so does a graded ideal without
+    # the condition
+    from latkit.ideal import _saturate_by_monomial
+
+    _saturate_by_monomial(graded, (1, 0, 1))
+    assert calls == [(1, 1, 1), (1, 0, 1)]
+    partial = _vector_ideal([(1, -1, 0)])
+    assert not vanishing_condition(partial)
+    saturate_variables(partial)
+    assert calls == [(1, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
 def test_divide_out_last_raises_internal_error_under_optimize():
