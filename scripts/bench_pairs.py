@@ -1,0 +1,169 @@
+"""Run interleaved parent/change pairs of the benchmark and write a BENCH file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . --label normal_forms \
+        --workload toppling:1:10 --workload toppling:7:2 --workload cli-batch:1:10 \
+        --trace toppling --claim toppling:1:jobs_per_s --note "what the change does"
+
+Each `--workload NAME:SEED:PAIRS` runs `perfbench/run.py` PAIRS times in
+each checkout, alternating which side goes first (pair 1 runs the parent
+first, pair 2 the change first, and so on). Each `--trace NAME` adds one
+traced run (`--trace 1`, seed 1) per side. Both checkouts run with this
+interpreter for the `run_seconds` of the change's BENCHMARK.json.
+
+The output, `BENCH_<label>.json` in the change checkout unless `--out`
+says otherwise, holds every run: per workload and end-to-end metric the
+runs of each side, their median and quartiles
+(`statistics.quantiles(n=4, method="inclusive")`), the pairs the change
+won (ties count for neither side) and the ratio of the medians; per
+traced workload the per-layer metrics of each side. It is rewritten
+after every pair and traced run, so an interrupted comparison keeps what
+it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_bench(checkout, workload, seed, seconds, trace):
+    """The result record that one run of perfbench/run.py leaves in
+    the checkout's .perfbench_out/."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+    record = checkout / ".perfbench_out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(record.read_text())
+
+
+def git_commit(checkout):
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def summary(runs):
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+    return {"runs": runs, "median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def metric_entry(spec, parent_runs, change_runs):
+    higher = spec["better"] == "higher"
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent_runs, change_runs))
+    entry = {"unit": spec["unit"], "better": spec["better"],
+             "parent": summary(parent_runs), "change": summary(change_runs),
+             "change_wins": f"{wins}/{len(change_runs)}"}
+    entry["median_ratio"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
+    return entry
+
+
+def workload_entry(name, seed, seconds, specs, results):
+    """results[side] is a list of result records, one per pair."""
+    entry = {
+        "workload": name, "seed": seed, "pairs": len(results["change"]), "seconds": seconds,
+        "error_rate": {side: [r["failed"] / r["attempted"] for r in results[side]] for side in SIDES},
+        "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
+        "source_sha256": {
+            side: sorted({r["provenance"]["source_sha256"] for r in results[side]}) for side in SIDES
+        },
+        "metrics": {},
+    }
+    for spec in specs:
+        runs = {
+            side: [round(r["metrics"][spec["name"]]["value"], 4) for r in results[side]]
+            for side in SIDES
+        }
+        entry["metrics"][spec["name"]] = metric_entry(spec, runs["parent"], runs["change"])
+    return entry
+
+
+def traced_entry(record):
+    out = {k: record[k] for k in ("correct", "traced_passes", "bypassed")}
+    out.update({k: round(v["value"], 4) for k, v in record["metrics"].items()})
+    return out
+
+
+def parse_workload(text):
+    name, seed, pairs = text.split(":")
+    return name, int(seed), int(pairs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--workload", action="append", type=parse_workload, default=[],
+                        metavar="NAME:SEED:PAIRS")
+    parser.add_argument("--trace", action="append", default=[], metavar="NAME")
+    parser.add_argument("--claim", metavar="NAME:SEED:METRIC", help="the metric a gain is claimed on")
+    parser.add_argument("--note", default="", help="one sentence on what the change does")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    specs, seconds = declared["end_to_end"], declared["run_seconds"]
+    out = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
+    bench = {
+        "label": args.label,
+        "change": args.note,
+        "parent_commit": git_commit(checkouts["parent"]),
+        "change_commit": git_commit(checkouts["change"]),
+        "machine": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}, "
+                   "one process per run",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {seconds} "
+                   "--trace 0",
+        "protocol": "interleaved parent/change pairs; odd pairs ran the parent first, even pairs "
+                    "the change first; quartiles by statistics.quantiles(n=4, method='inclusive'); "
+                    "change_wins counts pairs where the change was better, ties for neither",
+        "claimed": None,
+        "end_to_end": [],
+        "traced_pass": {
+            "command": f"python3 perfbench/run.py --workload <w> --seed 1 --seconds {seconds} "
+                       "--trace 1",
+            "note": "self_s and calls are per traced pass; one run per side",
+        },
+    }
+    if args.claim:
+        name, seed, metric = args.claim.split(":")
+        bench["claimed"] = {"workload": name, "seed": int(seed), "metric": metric}
+
+    def save():
+        out.write_text(json.dumps(bench, indent=1) + "\n")
+
+    for name, seed, pairs in args.workload:
+        results = {side: [] for side in SIDES}
+        for k in range(pairs):
+            for side in SIDES if k % 2 == 0 else reversed(SIDES):
+                results[side].append(run_bench(checkouts[side], name, seed, seconds, 0))
+            entry = workload_entry(name, seed, seconds, specs, results)
+            if k == 0:
+                bench["end_to_end"].append(entry)
+            else:
+                bench["end_to_end"][-1] = entry
+            save()
+            ratio = entry["metrics"]["jobs_per_s"]["median_ratio"]
+            print(f"{name} seed {seed}: pair {k + 1}/{pairs}, jobs_per_s median ratio {ratio}",
+                  file=sys.stderr)
+    for name in args.trace:
+        bench["traced_pass"][name] = {
+            side: traced_entry(run_bench(checkouts[side], name, 1, seconds, 1))
+            for side in SIDES
+        }
+        save()
+    save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

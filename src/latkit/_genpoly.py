@@ -168,7 +168,7 @@ def reduced_basis(gens, order: MonomialOrder):
         g = monic(g)
         if g is not None and g not in basis:
             basis.append(g)
-    reduced = _groebner(
+    reduced, _ = _groebner(
         basis,
         operator.itemgetter(0),
         lambda f, g: monic(_spoly(f, g)),

@@ -290,10 +290,11 @@ def cb_properties_check(L: IntMatrix) -> CbPropertiesReport:
     assert not first and not second, "cyclic syzygies must expand to zero"
 
     I = matrix_ideal(L)
-    latt = is_lattice_ideal(I)
     d = grading_vector(L)
     assert d is not None, "zero-row-sum 3x3 matrices always admit a grading"
+    # before is_lattice_ideal, whose GRevLex basis of I this run caches
     mu = minimal_generator_count(I, d)
+    latt = is_lattice_ideal(I)
     assert mu in (2, 3)
     return CbPropertiesReport(
         syzygies_hold=True,

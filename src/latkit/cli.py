@@ -4,13 +4,16 @@ Every subcommand reads one input file (or stdin via `-`), calls the
 library, and prints either key/value lines or a JSON report. Integers
 in JSON are decimal strings so consumers with 64-bit parsers stay safe.
 Exit codes: 0 success, 1 violated math precondition, 2 parse or I/O
-problem.
+problem, 3 internal error (a bug; one `error: internal: ...` line, never
+a traceback). A closed stdout ends the run quietly with 141, the status
+of a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -23,7 +26,7 @@ from .degree import (
     degree_matrix_ideal,
     degree_toric,
 )
-from .errors import ParseError, PreconditionError
+from .errors import InternalError, ParseError, PreconditionError
 from .exactmat import IntMatrix, smith_normal_form
 from .graphs import (
     WeightedDigraph,
@@ -353,21 +356,41 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         result = args.handler(args)
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+        payload = {"schema": SCHEMA, "command": args.command, "input": args.file}
+        payload.update(result)
+        payload["elapsed_ms"] = elapsed_ms
+        if args.json:
+            print(json.dumps(_jsonify(payload), indent=2))
+        else:
+            print("\n".join(_human_lines(payload)))
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    payload = {"schema": SCHEMA, "command": args.command, "input": args.file}
-    payload.update(result)
-    payload["elapsed_ms"] = elapsed_ms
-    if args.json:
-        print(json.dumps(_jsonify(payload), indent=2))
-    else:
-        print("\n".join(_human_lines(payload)))
+    except BrokenPipeError:
+        _detach_stdout()
+        return 141
+    except Exception as e:  # a bug: report it in one line, without a traceback
+        detail = str(e) if isinstance(e, InternalError) else f"{type(e).__name__}: {e}"
+        print(f"error: internal: {' '.join(detail.split())}", file=sys.stderr)
+        return 3
     return 0
+
+
+def _detach_stdout():
+    """Point the stdout descriptor at devnull, so that the flush at exit
+    does not raise a second BrokenPipeError. A stdout without a
+    descriptor (replaced or captured) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
 The CLI maps PreconditionError to exit code 1 and ParseError to exit
-code 2; everything else is a bug. InternalError marks such a bug found
-by a check inside the library: an invariant of a computation failed.
+code 2; everything else is a bug and exits with code 3. InternalError
+marks such a bug found by a check inside the library: an invariant of a
+computation failed.
 """
 
 

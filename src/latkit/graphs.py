@@ -204,6 +204,9 @@ def _laplacian_report(G: WeightedGraph):
     I = matrix_ideal(L)
     vc = vanishing_condition(I)
     assert vc, "a connected graph Laplacian ideal satisfies the vanishing condition"
+    # the generator count runs the one GRevLex Buchberger of I and caches
+    # its basis for affine_degree, the saturation and is_lattice_ideal
+    mu = minimal_generator_count(I, (1,) * s)
     dim_i, deg_i = affine_degree(I)
     # the hull (I : (t_1 ... t_s)^inf) is by definition the toppling
     # ideal; is_lattice_ideal reuses the saturation cached on I
@@ -223,7 +226,6 @@ def _laplacian_report(G: WeightedGraph):
     if support_ok:
         assert not lattice_flag, "support hypothesis predicts a non-lattice ideal"
     aci = all(G.degree(v) >= 2 for v in range(s))
-    mu = minimal_generator_count(I, (1,) * s)
     if aci:
         assert mu == s, "generator count must equal the vertex count"
     report = LaplacianReport(

@@ -13,6 +13,7 @@ order; tail None encodes a bare monomial t^lead.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 
 from .errors import InternalError, IterationLimitError, PreconditionError
@@ -293,16 +294,24 @@ def _spair(f, g, cmp):
     return _orient(b, a, cmp)
 
 
-def _groebner(elements, lead, s_reduce, reduce, sort_key):
-    """Reduced Groebner basis by Buchberger's algorithm: normal selection
-    strategy, the Gebauer-Moeller pair update, then minimalization and
-    tail reduction.
+def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
+    """(reduced Groebner basis, surviving inputs) by Buchberger's
+    algorithm: normal selection strategy, the Gebauer-Moeller pair
+    update, then minimalization and tail reduction.
 
     Elements are opaque to the driver. lead(e) is the leading exponent
     tuple of e; s_reduce(f, g) is the S-element of f and g, or None when
     it vanishes outright; reduce(e, basis) is the normalized normal form
     of e modulo basis, or None when that is zero; sort_key orders the
-    result. The input must be normalized and free of duplicates.
+    result; degree(m) is a positive grading. The input must be
+    normalized and free of duplicates.
+
+    An input of degree d is reduced against the basis, and joins it if
+    it survives, only after every pair of degree <= d. For an ideal
+    homogeneous under the grading, the survivors then number
+    sum_d dim I_d / (I_<d)_d, the minimal number of generators by graded
+    Nakayama (Kreuzer and Robbiano, "Computational Commutative Algebra
+    2", 2005).
 
     The update (Gebauer and Moeller, "On an installation of Buchberger's
     algorithm", JSC 1988) runs once per element joining the basis, so a
@@ -350,7 +359,7 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key):
             # a group holding a pair with disjoint leading supports is
             # dropped whole (product criterion)
             if not coprime:
-                heapq.heappush(pairs, (d, l, k, n))
+                heapq.heappush(pairs, (degree(l), l, k, n))
         keep = [k for k in active if not _divides(ln, leads[k])]
         if len(keep) < len(active):
             active[:] = keep
@@ -360,17 +369,24 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key):
         active.append(n)
         live.append(e)
 
-    for e in elements:
-        update(e)
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        s = s_reduce(basis[i], basis[j])
-        if s is None:
-            continue
-        s = reduce(s, live)
-        if s is not None:
-            update(s)
-    return _interreduce(live, lead, reduce, sort_key)
+    def process_pairs(bound):
+        while pairs and pairs[0][0] <= bound:
+            _, _, i, j = heapq.heappop(pairs)
+            s = s_reduce(basis[i], basis[j])
+            if s is not None:
+                s = reduce(s, live)
+                if s is not None:
+                    update(s)
+
+    survivors = 0
+    for d, e in sorted(((degree(lead(e)), e) for e in elements), key=operator.itemgetter(0)):
+        process_pairs(d)
+        e = reduce(e, live)
+        if e is not None:
+            update(e)
+            survivors += 1
+    process_pairs(math.inf)
+    return _interreduce(live, lead, reduce, sort_key), survivors
 
 
 def _interreduce(elements, lead, reduce, sort_key):
@@ -391,14 +407,16 @@ def _interreduce(elements, lead, reduce, sort_key):
     reduced = []
     for idx, e in enumerate(keep):
         r = reduce(e, keep[:idx] + keep[idx + 1:])
-        assert r is not None and lead(r) == lead(e), "lead of a minimal element must survive"
+        if r is None or lead(r) != lead(e):
+            raise InternalError("lead of a minimal element must survive")
         reduced.append(r)
     reduced.sort(key=sort_key)
     return reduced
 
 
-def _buchberger(gens, cmp):
-    """Reduced Groebner basis of the given binomial elements under cmp."""
+def _buchberger(gens, cmp, degree=sum):
+    """(reduced Groebner basis, surviving inputs) of the given binomial
+    elements under cmp; see _groebner."""
     basis = []
     for lead, tail in gens:
         e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
@@ -410,6 +428,7 @@ def _buchberger(gens, cmp):
         lambda f, g: _spair(f, g, cmp),
         lambda e, others: _reduce_element(e, others, cmp),
         _sort_key,
+        degree,
     )
 
 
@@ -458,15 +477,14 @@ class BinomialIdeal:
     def _gb_elements(self, order: MonomialOrder):
         hit = self._cache.get(order.cache_key)
         if hit is None:
-            basis = _buchberger(self._elements(), order.compare)
-            assert all(tail is not None for _, tail in basis), (
-                "a pure-difference ideal cannot acquire monomial basis elements"
-            )
-            hit = self._cache.setdefault(order.cache_key, basis)
+            basis, _ = _buchberger(self._elements(), order.compare)
+            hit = self._prime_cache(order, basis)
         return hit
 
     def _prime_cache(self, order, basis):
-        self._cache.setdefault(order.cache_key, basis)
+        if any(tail is None for _, tail in basis):
+            raise InternalError("a pure-difference ideal cannot acquire monomial basis elements")
+        return self._cache.setdefault(order.cache_key, basis)
 
     def reduced_groebner(self, order=None):
         if order is None:
@@ -511,7 +529,7 @@ def _eliminate_marker(elems, s):
     order = MonomialOrder.elimination(s + 1, (s,))
     return [
         (lead[:s], None if tail is None else tail[:s])
-        for lead, tail in _buchberger(elems, order.compare)
+        for lead, tail in _buchberger(elems, order.compare)[0]
         if not lead[s] and (tail is None or not tail[s])
     ]
 
@@ -546,29 +564,6 @@ def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
 
 def is_lattice_ideal(ideal: BinomialIdeal) -> bool:
     return ideal.reduced_groebner() == saturate_variables(ideal).reduced_groebner()
-
-
-def _colon_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
-    """(I : t^e) for a monomial divisor, via tag-variable intersection."""
-    s = ideal.ambient_dim
-    e = tuple(int(x) for x in exponent)
-    if len(e) != s or any(x < 0 for x in e) or not any(e):
-        raise PreconditionError("colon divisor must be a nonconstant monomial")
-    if not ideal.generators:
-        return ideal
-    elems = [(g.plus + (1,), g.minus + (1,)) for g in ideal.generators]
-    elems.append((e + (1,), e + (0,)))  # y t^e and t^e, i.e. (1 - y) t^e
-    gens = []
-    for lead, tail in _eliminate_marker(elems, s):
-        assert tail is not None
-        assert _divides(e, lead) and _divides(e, tail), "intersection not in (t^e)"
-        gens.append(
-            Binomial(
-                tuple(a - b for a, b in zip(lead, e)),
-                tuple(a - b for a, b in zip(tail, e)),
-            )
-        )
-    return BinomialIdeal(s, gens)
 
 
 def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
@@ -618,7 +613,8 @@ def _saturate_by_marker(ideal: BinomialIdeal, e):
     elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
     elems.append((e + (1,), (0,) * (s + 1)))
     kept = _eliminate_marker(elems, s)
-    assert all(tail is not None for _, tail in kept)
+    if any(tail is None for _, tail in kept):
+        raise InternalError("a saturation of a pure-difference ideal acquired a monomial")
     # the block order restricted to the surviving variables is GRevLex,
     # so the kept elements are already the reduced GRevLex basis
     return sorted(kept, key=_sort_key)
@@ -644,16 +640,24 @@ def _divide_out_last(basis):
 
 def colon_saturation(ideal: BinomialIdeal, h_exponent, max_power=10000):
     """((I : h^inf), a) for a monomial h = t^e: the saturation together
-    with the least a such that (I : h^a) equals it."""
+    with the least a such that (I : h^a) equals it, at most max_power.
+
+    I : h^a lies in sat, so it equals sat iff h^a g lies in I for every
+    generator g of sat, which stays true as a grows: a is the largest
+    least a_g, each test one reduction by I's cached GRevLex basis.
+    """
     sat = _saturate_by_monomial(ideal, h_exponent)
-    if ideal == sat:
-        return sat, 0
     e = tuple(int(x) for x in h_exponent)
-    for a in range(1, max_power + 1):
-        power = tuple(a * x for x in e)
-        if _colon_by_monomial(ideal, power) == sat:
-            return sat, a
-    raise IterationLimitError("colon powers did not stabilize within the cap")
+    a = 0
+    for g in sat.generators:
+        # h^a g
+        while not ideal.contains(
+            Binomial(*(tuple(x + a * y for x, y in zip(m, e)) for m in (g.plus, g.minus)))
+        ):
+            a += 1
+            if a > max_power:
+                raise IterationLimitError("colon powers did not stabilize within the cap")
+    return sat, a
 
 
 def homogenize_ideal(ideal: BinomialIdeal) -> BinomialIdeal:
@@ -668,7 +672,8 @@ def homogenize_ideal(ideal: BinomialIdeal) -> BinomialIdeal:
     elems = []
     for lead, tail in basis:
         delta = sum(lead) - sum(tail)
-        assert delta >= 0
+        if delta < 0:
+            raise InternalError(f"GRevLex lead {lead} has lower degree than its tail {tail}")
         l2, t2 = lead + (0,), tail + (delta,)
         gens.append(Binomial(l2, t2))
         elems.append((l2, t2))
@@ -770,7 +775,8 @@ def affine_degree(ideal: BinomialIdeal):
         num = _divide_one_minus_t(num)
         cancels += 1
     degree = sum(num.values())
-    assert degree > 0
+    if degree <= 0:
+        raise InternalError(f"Hilbert numerator gives degree {degree}")
     # the homogenized ring has s + 1 variables; its Krull dimension is
     # s + 1 - cancels, and the affine dimension is one less
     return (s - cancels, degree)
@@ -788,7 +794,8 @@ def _divide_one_minus_t(num):
         qd -= num.get(d, 0)
         if qd:
             q[d - 1] = qd
-    assert qd == num.get(0, 0), "polynomial not divisible by (1 - t)"
+    if qd != num.get(0, 0):
+        raise InternalError("polynomial not divisible by (1 - t)")
     return q
 
 
@@ -828,24 +835,17 @@ def vanishing_condition(ideal: BinomialIdeal) -> bool:
 
 def minimal_generator_count(ideal: BinomialIdeal, weights) -> int:
     """Number of minimal generators, for an ideal homogeneous under the
-    given positive integer grading (degree-sorted greedy elimination)."""
+    given positive integer grading: the inputs that survive one GRevLex
+    Buchberger run under that grading (see _groebner), whose basis fills
+    the ideal's GRevLex cache.
+    """
     d = tuple(int(x) for x in weights)
     if len(d) != ideal.ambient_dim or any(x <= 0 for x in d):
         raise PreconditionError("grading must be strictly positive")
     for g in ideal.generators:
         if not g.is_homogeneous(d):
             raise PreconditionError("ideal is not homogeneous under the grading")
-    survivors = sorted(ideal.generators, key=lambda g: (g.degree_under(d), g.plus, g.minus))
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(survivors)):
-            others = survivors[:idx] + survivors[idx + 1:]
-            if not others:
-                continue
-            rest = BinomialIdeal(ideal.ambient_dim, others)
-            if rest.contains(survivors[idx]):
-                survivors.pop(idx)
-                changed = True
-                break
-    return len(survivors)
+    basis, count = _buchberger(
+        ideal._elements(), _grevlex_cmp, lambda m: sum(map(operator.mul, d, m)))
+    ideal._prime_cache(MonomialOrder.grevlex(ideal.ambient_dim), basis)
+    return count

@@ -269,3 +269,57 @@ def test_json_has_no_raw_ints(capsys):
             assert not isinstance(x, (int, float)) or isinstance(x, bool), x
 
     walk(p)
+
+
+def _failing_handler(exc):
+    def handler(args):
+        raise exc
+
+    return handler
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    from latkit.errors import InternalError
+
+    monkeypatch.setattr(cli, "_cmd_snf", _failing_handler(InternalError("lead must survive")))
+    code, out, err = run(capsys, "snf", str(DATA / "identity3.mat"), "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: lead must survive\n"
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_snf", _failing_handler(RuntimeError("first\nsecond")))
+    code, out, err = run(capsys, "snf", str(DATA / "identity3.mat"))
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: RuntimeError: first second\n"
+    assert "Traceback" not in err
+
+
+def test_broken_pipe_is_quiet(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_snf", _failing_handler(BrokenPipeError(32, "Broken pipe")))
+    code, out, err = run(capsys, "snf", str(DATA / "identity3.mat"))
+    assert code == 141
+    assert out == err == ""
+
+
+def test_closed_stdout_is_quiet():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # a pipe whose reader is already gone: the first write fails
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latkit.cli", "snf", str(DATA / "identity3.mat"), "--json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert done.returncode == 141
+    assert done.stderr == b""

@@ -217,3 +217,25 @@ def test_sandpile_degree_matches_tree_count_random():
         dim, deg = affine_degree(saturate_variables(matrix_ideal(laplacian(G))))
         assert dim == 1
         assert deg == spanning_tree_count(G)
+
+
+def test_report_runs_one_grevlex_buchberger(monkeypatch):
+    import latkit.ideal as ideal_module
+    from latkit.ideal import _grevlex_cmp, matrix_ideal
+
+    runs = []
+    buchberger = ideal_module._buchberger
+
+    def counted(gens, cmp, *args):
+        if cmp is _grevlex_cmp:
+            runs.append(sorted(gens))
+        return buchberger(gens, cmp, *args)
+
+    monkeypatch.setattr(ideal_module, "_buchberger", counted)
+    for G in (demo_graph(), complete_graph(5)):
+        runs.clear()
+        laplacian_report(G)
+        # the generator count's run on I; affine_degree, the saturation and
+        # is_lattice_ideal read its basis, and the toppling ideal's basis
+        # comes from the saturation
+        assert runs == [sorted(matrix_ideal(laplacian(G))._elements())]

@@ -461,7 +461,7 @@ def test_pair_update_matches_chain_criterion_binomial():
             MonomialOrder.elimination(s, (0,)),
             MonomialOrder.elimination(s, (s - 1,)),
         ):
-            assert _buchberger(elems, order.compare) == _binomial_oracle(elems, order), (
+            assert _buchberger(elems, order.compare)[0] == _binomial_oracle(elems, order), (
                 ideal, order.cache_key)
 
 
@@ -518,7 +518,7 @@ def test_pair_update_matches_chain_criterion_laplacian_saturation():
         elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
         elems.append(((1,) * (n + 1), (0,) * (n + 1)))
         order = MonomialOrder.elimination(n + 1, (n,))
-        assert _buchberger(elems, order.compare) == _binomial_oracle(elems, order), edges
+        assert _buchberger(elems, order.compare)[0] == _binomial_oracle(elems, order), edges
 
 
 def test_saturation_is_cached_on_the_ideal():
@@ -743,11 +743,24 @@ def test_ungraded_ideal_takes_the_marker_path(monkeypatch):
     assert calls == [(1, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
-def test_divide_out_last_raises_internal_error_under_optimize():
+def _run_optimized(code):
+    """stdout of code run by python -O with this checkout's latkit."""
     import os
     import subprocess
     import sys
 
+    # an assert would be stripped by -O itself
+    code = "import sys\nif not sys.flags.optimize:\n    raise SystemExit('not under -O')\n" + code
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_divide_out_last_raises_internal_error_under_optimize():
     code = (
         "import sys\n"
         "from latkit.errors import InternalError\n"
@@ -759,10 +772,218 @@ def test_divide_out_last_raises_internal_error_under_optimize():
         "except InternalError:\n"
         "    print('InternalError')\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    assert _run_optimized(code) == "InternalError"
+
+
+def test_divide_one_minus_t_raises_internal_error_under_optimize():
+    # 1 + t does not vanish at t = 1, so (1 - t) does not divide it
+    code = (
+        "from latkit.errors import InternalError\n"
+        "from latkit.ideal import _divide_one_minus_t\n"
+        "print(sorted(_divide_one_minus_t({0: 1, 2: -1}).items()))\n"
+        "try:\n"
+        "    _divide_one_minus_t({0: 1, 1: 1})\n"
+        "except InternalError:\n"
+        "    print('InternalError')\n"
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "InternalError"
+    # 1 - t^2 = (1 - t)(1 + t)
+    assert _run_optimized(code).split("\n") == ["[(0, 1), (1, 1)]", "InternalError"]
+
+
+# ---------------------------------------------------------------------------
+# colon exponents by tag-variable colons: I : t^e is (I cap (t^e)) / t^e,
+# the intersection by a tag variable y on I y + (1 - y) t^e, and the least
+# a with I : h^a equal to the saturation is searched one power at a time.
+# The oracle for colon_saturation's membership tests.
+
+
+def _colon_by_tag_variable(ideal, e):
+    from latkit.ideal import _divides, _eliminate_marker
+
+    s = ideal.ambient_dim
+    if not ideal.generators:
+        return ideal
+    elems = [(g.plus + (1,), g.minus + (1,)) for g in ideal.generators]
+    elems.append((e + (1,), e + (0,)))  # y t^e and t^e, i.e. (1 - y) t^e
+    gens = []
+    for lead, tail in _eliminate_marker(elems, s):
+        assert tail is not None
+        assert _divides(e, lead) and _divides(e, tail), "intersection not in (t^e)"
+        gens.append(Binomial(tuple(a - b for a, b in zip(lead, e)), tuple(a - b for a, b in zip(tail, e))))
+    return BinomialIdeal(s, gens)
+
+
+def _colon_saturation_by_tag_variable(ideal, h):
+    from latkit.ideal import _saturate_by_monomial
+
+    sat = _saturate_by_monomial(ideal, h)
+    if ideal == sat:
+        return sat, 0
+    for a in range(1, 10001):
+        if _colon_by_tag_variable(ideal, tuple(a * x for x in h)) == sat:
+            return sat, a
+    raise IterationLimitError("colon powers did not stabilize within the cap")
+
+
+def _random_divisor(rng, s):
+    """A nonconstant monomial exponent: half involve every variable, the
+    others may miss some."""
+    while True:
+        if rng.random() < 0.5:
+            e = tuple(rng.randint(1, 2) for _ in range(s))
+        else:
+            e = tuple(rng.randint(0, 2) for _ in range(s))
+        if any(e):
+            return e
+
+
+def test_colon_saturation_matches_tag_variable_oracle():
+    rng = random.Random(5150)
+    powers = []
+    partial = 0
+    for n in range(420):
+        s = rng.randint(2, 4)
+        k = rng.randint(1, s + 1)
+        if n % 2:
+            gens = [_graded_generator(rng, s) for _ in range(k)]
+        else:
+            gens = [_random_generator(rng, s) for _ in range(k)]
+        h = _random_divisor(rng, s)
+        partial += not all(h)
+        want_sat, want_a = _colon_saturation_by_tag_variable(BinomialIdeal(s, gens), h)
+        sat, a = colon_saturation(BinomialIdeal(s, gens), h)
+        assert (sat.generators, a) == (want_sat.generators, want_a), (gens, h)
+        powers.append(a)
+    # both answers, several exponents, and divisors of both kinds occurred
+    assert powers.count(0) >= 50 and len(set(powers)) >= 3 and partial >= 100
+
+
+def _toppling_colon_graphs():
+    """The (vertex count, weighted edges) of the colon jobs in the seed-1
+    pool of the benchmark's toppling workload."""
+    import sys
+    from pathlib import Path
+
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    jobs = workloads.toppling_jobs(random.Random(1), workloads.TOPPLING_CYCLES)
+    return [job.data for job in jobs if job.kind == "colon"]
+
+
+def test_colon_saturation_matches_tag_variable_oracle_toppling_inputs():
+    from latkit import WeightedGraph, laplacian
+
+    graphs = _toppling_colon_graphs()
+    assert len(graphs) == 20
+    for n, edges in graphs:
+        ideal = matrix_ideal(laplacian(WeightedGraph(n, edges)))
+        want_sat, want_a = _colon_saturation_by_tag_variable(ideal, (1,) * n)
+        sat, a = colon_saturation(matrix_ideal(laplacian(WeightedGraph(n, edges))), (1,) * n)
+        assert (sat.generators, a) == (want_sat.generators, want_a), edges
+
+
+def test_colon_saturation_cap_boundary():
+    I = _vector_ideal([(2, -1, -1), (-3, 1, -1)])
+    h = (1, 0, 0)
+    sat, a = colon_saturation(I, h)
+    assert a == _colon_saturation_by_tag_variable(I, h)[1] >= 2
+    # the least power equal to the cap is returned; one past it raises
+    assert colon_saturation(I, h, max_power=a) == (sat, a)
+    with pytest.raises(IterationLimitError):
+        colon_saturation(I, h, max_power=a - 1)
+
+
+# ---------------------------------------------------------------------------
+# minimal generator counts by greedy elimination: drop a generator lying in
+# the ideal of the others, with a fresh Buchberger run for each test, and
+# restart the scan after every drop. The oracle for the one-pass count.
+
+
+def _minimal_generator_count_by_restarts(ideal, weights):
+    survivors = sorted(ideal.generators, key=lambda g: (g.degree_under(weights), g.plus, g.minus))
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(survivors)):
+            others = survivors[:idx] + survivors[idx + 1:]
+            if not others:
+                continue
+            if BinomialIdeal(ideal.ambient_dim, others).contains(survivors[idx]):
+                survivors.pop(idx)
+                changed = True
+                break
+    return len(survivors)
+
+
+def _weighted_generator(rng, w):
+    """A binomial homogeneous under the weights w: a random vector of
+    their kernel, with a random common factor on both sides."""
+    s = len(w)
+    while True:
+        v = [0] * s
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.sample(range(s), 2)
+            c = rng.choice((-1, 1))
+            v[i] += c * w[j]
+            v[j] -= c * w[i]
+        if any(v):
+            break
+    common = [rng.choice((0, 0, 0, 1)) for _ in range(s)]
+    return Binomial(
+        [max(x, 0) + c for x, c in zip(v, common)], [max(-x, 0) + c for x, c in zip(v, common)]
+    )
+
+
+def test_minimal_generator_count_matches_restart_oracle():
+    rng = random.Random(7117)
+    counts = []
+    for n in range(320):
+        s = rng.randint(2, 5)
+        w = (1,) * s if n % 2 else tuple(rng.randint(1, 3) for _ in range(s))
+        gens = [_weighted_generator(rng, w) for _ in range(rng.randint(1, s + 2))]
+        want = _minimal_generator_count_by_restarts(BinomialIdeal(s, gens), w)
+        ideal = BinomialIdeal(s, gens)
+        assert minimal_generator_count(ideal, w) == want, (gens, w)
+        counts.append((want, len(gens)))
+        # the run filled the GRevLex cache with the ideal's basis
+        assert ideal.reduced_groebner() == BinomialIdeal(s, gens).reduced_groebner()
+    # redundant generators were present in many ideals, and absent in many
+    assert sum(m < k for m, k in counts) >= 60 and sum(m == k for m, k in counts) >= 60
+
+
+def test_minimal_generator_count_matches_restart_oracle_cb3():
+    from latkit import grading_vector
+    from propsuites import random_cb3
+
+    rng = random.Random(3003)
+    seen = set()
+    for _ in range(100):
+        L = random_cb3(rng)
+        d = grading_vector(L)
+        for ideal in (matrix_ideal(L), saturate_variables(matrix_ideal(L))):
+            want = _minimal_generator_count_by_restarts(ideal, d)
+            assert minimal_generator_count(BinomialIdeal(3, ideal.generators), d) == want, L.to_rows()
+            seen.add(want)
+    assert {2, 3} <= seen
+
+
+def test_minimal_generator_count_matches_restart_oracle_laplacians():
+    from latkit import WeightedGraph, laplacian
+
+    rng = random.Random(9119)
+    for n in (6, 6, 7):
+        edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
+        while len(edges) < n + 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            edges.setdefault((i, j), rng.randint(1, 3))
+        L = laplacian(WeightedGraph(n, [(i, j, w) for (i, j), w in edges.items()]))
+        want = _minimal_generator_count_by_restarts(matrix_ideal(L), (1,) * n)
+        assert minimal_generator_count(matrix_ideal(L), (1,) * n) == want == n, edges
+        # the saturation, generated by its reduced basis
+        top = saturate_variables(matrix_ideal(L))
+        want = _minimal_generator_count_by_restarts(top, (1,) * n)
+        assert minimal_generator_count(BinomialIdeal(n, top.generators), (1,) * n) == want, edges
