@@ -290,7 +290,7 @@ def cb_properties_check(L: IntMatrix) -> CbPropertiesReport:
     assert not first and not second, "cyclic syzygies must expand to zero"
 
     I = matrix_ideal(L)
-    d = grading_vector(L)
+    d = rep.left_kernel_witness
     assert d is not None, "zero-row-sum 3x3 matrices always admit a grading"
     # before is_lattice_ideal, whose GRevLex basis of I this run caches
     mu = minimal_generator_count(I, d)

@@ -138,7 +138,7 @@ def _cmd_torsion(args):
     return {
         "ambient_dim": lat.ambient_dim,
         "rank": lat.rank,
-        "torsion_order": torsion_order(lat),
+        "torsion_order": group.order,
         "invariant_factors": list(group.invariant_factors),
     }
 

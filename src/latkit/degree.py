@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import PreconditionError
-from .exactmat import IntMatrix, determinant, minor_gcd, rank, smith_normal_form
+from .exactmat import IntMatrix, _signed_minors, minor_gcd, smith_normal_form
 from .ideal import matrix_ideal, vanishing_condition
 from .lattice import Lattice, defining_matrix, grading_vector, torsion_order
 from .volume import normalized_volume
@@ -113,14 +113,10 @@ def degree_dim1_from_basis(basis) -> Dim1BasisResult:
     s = len(vectors[0])
     if len(vectors) != s - 1 or any(len(v) != s for v in vectors):
         raise PreconditionError(f"need {s - 1} vectors of length {s}")
-    cols = IntMatrix([[vectors[j][i] for j in range(s - 1)] for i in range(s)])
-    if rank(cols) != s - 1:
+    # minor i carries the sign (-1)^(i+1)
+    minors = [-m if s % 2 else m for m in _signed_minors(vectors, s)]
+    if not any(minors):
         raise PreconditionError("basis is rank deficient")
-    minors = []
-    for i in range(s):
-        sub = IntMatrix([cols.row(k) for k in range(s) if k != i])
-        sign = -1 if i % 2 == 0 else 1
-        minors.append(sign * determinant(sub))
     hi = max(max(minors), 0)
     lo = min(min(minors), 0)
     degree = hi - lo

@@ -329,6 +329,24 @@ def adjoint(mat: IntMatrix) -> IntMatrix:
     return IntMatrix(out)
 
 
+def _signed_minors(rows, n) -> tuple:
+    """Normal of n - 1 integer rows of length n: entry i is
+    (-1)^(n-1+i) times the maximal minor without column i, the last
+    column of adjoint(M) for M the rows with any row appended. It is
+    orthogonal to every row and zero exactly when the rows are
+    dependent; n = 1 (no rows) gives (1,)."""
+    rows = [tuple(r) for r in rows]
+    if len(rows) != n - 1 or any(len(r) != n for r in rows):
+        raise PreconditionError(f"need {n - 1} rows of length {n}")
+    if n == 1:
+        return (1,)
+    out = []
+    for i in range(n):
+        m = determinant(IntMatrix([r[:i] + r[i + 1:] for r in rows]))
+        out.append(-m if (n - 1 + i) % 2 else m)
+    return tuple(out)
+
+
 def integer_kernel(mat: IntMatrix) -> list:
     """Basis of {x in Z^cols : mat @ x = 0}.
 

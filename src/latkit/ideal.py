@@ -389,21 +389,12 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
     return _interreduce(live, lead, reduce, sort_key), survivors
 
 
-def _interreduce(elements, lead, reduce, sort_key):
-    """The reduced Groebner basis from any Groebner basis: minimalization,
-    tail reduction and the final sort, with _groebner's element
-    operations."""
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    leads = [lead(e) for e in elements]
-    keep = []
-    for i, li in enumerate(leads):
-        if not any(
-            _divides(lj, li) and (lj != li or j < i)
-            for j, lj in enumerate(leads)
-            if j != i
-        ):
-            keep.append(elements[i])
-    # tail-reduce against the kept set for the reduced form
+def _interreduce(keep, lead, reduce, sort_key):
+    """The reduced Groebner basis from a minimal one (no lead divides
+    another): tail reduction and the final sort, with _groebner's
+    element operations. _groebner's active elements are minimal already:
+    an element joins only after reduction by them, and joining drops
+    those whose lead its own lead divides."""
     reduced = []
     for idx, e in enumerate(keep):
         r = reduce(e, keep[:idx] + keep[idx + 1:])
@@ -593,8 +584,17 @@ def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
         and all(g.is_homogeneous((1,) * s) for g in ideal.generators)
         and vanishing_condition(ideal)
     ):
+        divided = _divide_out_last(ideal._gb_elements(MonomialOrder.grevlex(s)))
+        # dividing can make one lead divide another: keep the first
+        # element of each minimal lead
+        minimal = set(_minimalize(l for l, _ in divided))
+        kept = []
+        for elem in divided:
+            if elem[0] in minimal:
+                minimal.remove(elem[0])
+                kept.append(elem)
         kept = _interreduce(
-            _divide_out_last(ideal._gb_elements(MonomialOrder.grevlex(s))),
+            kept,
             operator.itemgetter(0),
             lambda x, others: _reduce_element(x, others, _grevlex_cmp),
             _sort_key,

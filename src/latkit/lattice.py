@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactmat import (
     IntMatrix,
+    _signed_minors,
     hermite_rows,
     integer_kernel,
     smith_normal_form,
@@ -141,8 +142,9 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
     Construction: complete a lattice basis to a Q-basis of Q^s by
     greedily appending standard basis vectors, then take, for each
     appended vector, the primitive integer normal of the hyperplane
-    spanned by the remaining s-1 basis vectors (sign fixed by making
-    the first nonzero entry positive). The result depends only on the
+    spanned by the remaining s-1 basis vectors: their signed maximal
+    minors divided by their gcd, sign fixed by making the first nonzero
+    entry positive. The result depends only on the
     lattice, not on the generator list, since the greedy completion and
     each hyperplane are determined by the span. ker_Z(A) is exactly the
     saturation of lat. Requires rank(lat) < s.
@@ -164,13 +166,9 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
             cur_rank += 1
     out = []
     for idx in range(r, s):
-        others = [full[t] for t in range(s) if t != idx]
-        if not others:
-            out.append([1])
-            continue
-        ker = integer_kernel(IntMatrix(others))
-        assert len(ker) == 1
-        w = list(ker[0])
+        w = _signed_minors([full[t] for t in range(s) if t != idx], s)
+        if not any(w):
+            raise InternalError("basis completion does not span Q^s")
         g = gcd(*w)
         w = [x // g for x in w]
         first = next(x for x in w if x != 0)

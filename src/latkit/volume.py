@@ -1,10 +1,13 @@
 """Exact normalized volumes of lattice polytopes.
 
-The volume is computed in five steps: translate the points, pick a
-saturated-lattice basis of the translated span, rewrite the points in
-those coordinates (making the polytope full-dimensional over Z), build
-an incremental triangulation, and sum determinants. All arithmetic is
-integer or Fraction; nothing is approximated.
+The points are translated by the first one, and one Smith normal form
+P * M * Q = D of the matrix M whose columns are the differences gives
+their coordinates: P is unimodular and P * M = D * Q^-1 vanishes below
+row r = rank(M), so the first r rows of P map the saturated lattice of
+the span onto Z^r. In those coordinates the polytope is
+full-dimensional; an incremental triangulation sums simplex
+determinants, with each facet normal the signed maximal minors of its
+edge vectors. All arithmetic is on integers; nothing is approximated.
 
 The returned quantity is the lattice-normalized volume: dim! times the
 Euclidean volume in the chosen coordinates. A single point counts 1.
@@ -12,68 +15,32 @@ Euclidean volume in the chosen coordinates. A single point counts 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import PreconditionError
-from .exactmat import IntMatrix, determinant, integer_kernel, rank
-from .lattice import Lattice, saturation
+from .errors import InternalError, PreconditionError
+from .exactmat import IntMatrix, _signed_minors, determinant, rank, smith_normal_form
 
 __all__ = ["LatticePolytope", "normalized_volume"]
 
 
-def _solve_exact(basis_rows, target):
-    """Coefficients x with sum x_i basis_rows[i] = target, exact.
-
-    Gaussian elimination over Fractions; raises if inconsistent.
-    """
-    r = len(basis_rows)
-    m = len(target)
-    aug = [[Fraction(basis_rows[i][j]) for i in range(r)] + [Fraction(target[j])] for j in range(m)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        sel = None
-        for k in range(row, m):
-            if aug[k][col]:
-                sel = k
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for k in range(m):
-            if k != row and aug[k][col]:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-    x = [Fraction(0)] * r
-    for idx, col in enumerate(pivots):
-        x[col] = aug[idx][r]
-    for k in range(row, m):
-        if aug[k][r]:
-            raise PreconditionError("point outside the lattice span")
-    return x
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _facet_normal(vertices, points, interior):
-    """Primitive integer inward-violating normal (n, c) with n.x <= c
-    inside, for the facet spanned by the given vertex indices."""
+    """Integer normal (n, c) with n.x <= c on the polytope's side, for
+    the facet spanned by the given vertex indices. interior is the sum
+    of the r + 1 vertices of a full simplex in Z^r, so interior / (r + 1)
+    lies strictly inside."""
     vs = [points[i] for i in vertices]
-    r = len(vs[0])
     base = vs[0]
-    diffs = [tuple(v[j] - base[j] for j in range(r)) for v in vs[1:]]
-    if diffs:
-        kern = integer_kernel(IntMatrix(diffs))
-        assert len(kern) == 1, "facet vertices do not span a hyperplane"
-        n = tuple(kern[0])
-    else:
-        n = (1,)
-    c = sum(a * b for a, b in zip(n, base))
-    side = sum(a * b for a, b in zip(n, interior))
-    assert side != c, "interior reference point lies on a facet plane"
-    if side > c:
+    r = len(base)
+    n = _signed_minors([tuple(a - b for a, b in zip(v, base)) for v in vs[1:]], r)
+    if not any(n):
+        raise InternalError("facet vertices do not span a hyperplane")
+    c = _dot(n, base)
+    side = _dot(n, interior) - (r + 1) * c
+    if side == 0:
+        raise InternalError("interior reference point lies on a facet plane")
+    if side > 0:
         n = tuple(-x for x in n)
         c = -c
     return n, c
@@ -98,13 +65,13 @@ def _incremental_volume(points):
         diffs = [tuple(points[i][j] - base[j] for j in range(r)) for i in cand[1:]]
         if rank(IntMatrix(diffs)) == len(diffs):
             chosen.append(idx)
-    assert len(chosen) == r + 1, "points are not full-dimensional"
+    if len(chosen) != r + 1:
+        raise InternalError("points are not full-dimensional")
 
-    interior = tuple(
-        sum(Fraction(points[i][j]) for i in chosen) / (r + 1) for j in range(r)
-    )
+    interior = tuple(sum(points[i][j] for i in chosen) for j in range(r))
     volume = _simplex_volume([points[i] for i in chosen[:-1]], points[chosen[-1]])
-    assert volume > 0
+    if volume <= 0:
+        raise InternalError("starting simplex has no volume")
 
     facets = []
     for drop in range(r + 1):
@@ -119,7 +86,7 @@ def _incremental_volume(points):
         visible = []
         for f in facets:
             verts, n, c = f
-            if sum(a * b for a, b in zip(n, p)) > c:
+            if _dot(n, p) > c:
                 visible.append(f)
         if not visible:
             continue
@@ -170,26 +137,26 @@ class LatticePolytope:
         return len(self.points[0])
 
     def translated_coordinates(self):
-        """Points rewritten in a saturated basis of their affine span.
+        """Points rewritten in a basis of the saturated lattice of their
+        affine span.
 
         Returns (dimension, coordinate tuples); the originals are first
-        translated by points[0]. Coordinates are integers because the
-        basis lattice is saturated.
+        translated by points[0]. Coordinate i of a point is row i of P
+        times its difference, for P of the Smith form of the differences.
         """
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
-        diffs = [d for d in diffs if any(d)]
         if not diffs:
-            return 0, [()] * len(self.points)
-        lat = saturation(Lattice(self.ambient_dim, diffs))
-        basis = lat.basis()
-        coords = [(0,) * lat.rank]
-        for p in self.points[1:]:
-            d = tuple(a - b for a, b in zip(p, base))
-            x = _solve_exact(basis, d)
-            assert all(v.denominator == 1 for v in x), "non-integral coordinate"
-            coords.append(tuple(int(v) for v in x))
-        return lat.rank, coords
+            return 0, [()]
+        dec = smith_normal_form(IntMatrix(diffs).transpose())
+        r = dec.rank
+        coords = [(0,) * r]
+        for d in diffs:
+            x = dec.P.apply(d)
+            if any(x[r:]):
+                raise InternalError("a point difference leaves the span of the first rank rows of P")
+            coords.append(x[:r])
+        return r, coords
 
     def normalized_volume(self):
         """dim! times the Euclidean volume in saturated-lattice

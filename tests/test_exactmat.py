@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from latkit import (
     IntMatrix,
+    PreconditionError,
     adjoint,
     determinant,
     hermite_rows,
@@ -214,3 +215,30 @@ def test_ext_gcd_returns_nonnegative_gcd_and_bezout_pair():
     for a, b in cases:
         g, x, y = _ext_gcd(a, b)
         assert g == gcd(a, b) and x * a + y * b == g
+
+
+def test_signed_minors_are_the_last_adjoint_column():
+    from latkit.exactmat import _signed_minors
+
+    rng = random.Random(61)
+    dependent_seen = independent_seen = 0
+    for case in range(300):
+        n = case % 6 + 1
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        if n > 2 and rng.random() < 0.4:
+            # plant a dependency: one row a multiple of another, or zero
+            j, k = rng.sample(range(n - 1), 2)
+            c = rng.randint(-2, 2)
+            rows[k] = [c * a for a in rows[j]]
+        w = _signed_minors(rows, n)
+        extra = [rng.randint(-4, 4) for _ in range(n)]
+        adj = adjoint(IntMatrix(rows + [extra]))
+        assert w == adj.column(n - 1)
+        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+        independent = n == 1 or rank(IntMatrix(rows)) == n - 1
+        assert any(w) == independent, rows
+        dependent_seen += not independent
+        independent_seen += independent
+    assert dependent_seen >= 50 and independent_seen >= 150
+    with pytest.raises(PreconditionError):
+        _signed_minors([(1, 2, 3)], 3)

@@ -32,6 +32,7 @@ from exampledata import (
     WEIGHTED_DEMO_LAPLACIAN,
     binomials,
 )
+from optimized import run_optimized
 
 
 def B(v):
@@ -743,23 +744,6 @@ def test_ungraded_ideal_takes_the_marker_path(monkeypatch):
     assert calls == [(1, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
-def _run_optimized(code):
-    """stdout of code run by python -O with this checkout's latkit."""
-    import os
-    import subprocess
-    import sys
-
-    # an assert would be stripped by -O itself
-    code = "import sys\nif not sys.flags.optimize:\n    raise SystemExit('not under -O')\n" + code
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
 def test_divide_out_last_raises_internal_error_under_optimize():
     code = (
         "import sys\n"
@@ -772,7 +756,7 @@ def test_divide_out_last_raises_internal_error_under_optimize():
         "except InternalError:\n"
         "    print('InternalError')\n"
     )
-    assert _run_optimized(code) == "InternalError"
+    assert run_optimized(code) == "InternalError"
 
 
 def test_divide_one_minus_t_raises_internal_error_under_optimize():
@@ -787,7 +771,7 @@ def test_divide_one_minus_t_raises_internal_error_under_optimize():
         "    print('InternalError')\n"
     )
     # 1 - t^2 = (1 - t)(1 + t)
-    assert _run_optimized(code).split("\n") == ["[(0, 1), (1, 1)]", "InternalError"]
+    assert run_optimized(code).split("\n") == ["[(0, 1), (1, 1)]", "InternalError"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -12,8 +13,10 @@ from latkit import (
     defining_matrix,
     determinant,
     grading_vector,
+    hermite_rows,
     homogenize_lattice,
     homogenize_vector,
+    integer_kernel,
     p_saturation,
     positive_lattice_vector,
     saturation,
@@ -131,6 +134,50 @@ def test_defining_matrix_kernel_is_saturation():
 
         ker = Lattice(s, integer_kernel(A))
         assert ker.basis() == saturation(lat).basis()
+
+
+def _kernel_defining_matrix(lat):
+    """The former construction of defining_matrix, kept as the oracle:
+    each hyperplane normal is the integer kernel of the other s - 1
+    vectors of the greedy completion."""
+    s = lat.ambient_dim
+    full = [list(r) for r in lat.basis()]
+    r = len(full)
+    for j in range(s):
+        e = [int(t == j) for t in range(s)]
+        if len(full) < s and len(hermite_rows(full + [e], s)) > len(full):
+            full.append(e)
+    out = []
+    for idx in range(r, s):
+        others = [full[t] for t in range(s) if t != idx]
+        if not others:
+            out.append((1,))
+            continue
+        (w,) = integer_kernel(IntMatrix(others))
+        g = gcd(*w)
+        w = [x // g for x in w]
+        if next(x for x in w if x) < 0:
+            w = [-x for x in w]
+        out.append(tuple(w))
+    return out
+
+
+def test_defining_matrix_matches_kernel_oracle():
+    rng = random.Random(4242)
+    ranks = set()
+    for case in range(600):
+        s = case % 6 + 1
+        scale = rng.choice((1, 1, 2, 3))
+        gens = [tuple(scale * rng.randint(-3, 3) for _ in range(s)) for _ in range(rng.randint(0, s - 1))]
+        # redundant generators: combinations of earlier ones, multiples when a is b
+        for _ in range(rng.randint(0, 2) if gens else 0):
+            a, b = rng.choice(gens), rng.choice(gens)
+            c = rng.randint(-2, 2)
+            gens.append(tuple(x + c * y for x, y in zip(a, b)))
+        lat = Lattice(s, gens)
+        assert list(defining_matrix(lat)) == _kernel_defining_matrix(lat), gens
+        ranks.add((s, lat.rank))
+    assert {(s, r) for s in range(1, 7) for r in range(s)} <= ranks
 
 
 def test_grading_vector_examples():

@@ -1,9 +1,22 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latkit import LatticePolytope, normalized_volume
+from latkit import (
+    IntMatrix,
+    Lattice,
+    LatticePolytope,
+    determinant,
+    integer_kernel,
+    minor_gcd,
+    normalized_volume,
+    rank,
+    saturation,
+)
+
+from optimized import run_optimized
 
 
 def test_known_volumes():
@@ -127,3 +140,182 @@ def test_unimodular_invariance():
             for p in pts
         ]
         assert normalized_volume(image) == v0
+
+
+# ---------------------------------------------------------------------------
+# The former coordinates path, kept as the oracle: a saturated basis of the
+# span from lattice.saturation, each point solved for over Fractions, and
+# facet normals from integer kernels with a Fraction centroid.
+
+
+def _solve_exact(basis_rows, target):
+    """Coefficients x with sum x_i basis_rows[i] = target, by Gaussian
+    elimination over Fractions."""
+    r = len(basis_rows)
+    m = len(target)
+    aug = [[Fraction(basis_rows[i][j]) for i in range(r)] + [Fraction(target[j])] for j in range(m)]
+    pivots = []
+    row = 0
+    for col in range(r):
+        sel = next((k for k in range(row, m) if aug[k][col]), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for k in range(m):
+            if k != row and aug[k][col]:
+                f = aug[k][col]
+                aug[k] = [a - f * b for a, b in zip(aug[k], aug[row])]
+        pivots.append(col)
+        row += 1
+    assert not any(aug[k][r] for k in range(row, m)), "point outside the span"
+    x = [Fraction(0)] * r
+    for idx, col in enumerate(pivots):
+        x[col] = aug[idx][r]
+    return x
+
+
+def _oracle_coordinates(points):
+    points = list(dict.fromkeys(tuple(p) for p in points))
+    base = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    if not diffs:
+        return 0, [()]
+    lat = saturation(Lattice(len(base), diffs))
+    coords = [(0,) * lat.rank]
+    for d in diffs:
+        x = _solve_exact(lat.basis(), d)
+        assert all(v.denominator == 1 for v in x)
+        coords.append(tuple(int(v) for v in x))
+    return lat.rank, coords
+
+
+def _oracle_facet(vertices, points, interior):
+    base = points[vertices[0]]
+    diffs = [tuple(a - b for a, b in zip(points[i], base)) for i in vertices[1:]]
+    kern = integer_kernel(IntMatrix(diffs))
+    assert len(kern) == 1
+    n = tuple(kern[0])
+    c = sum(a * b for a, b in zip(n, base))
+    side = sum(a * b for a, b in zip(n, interior))
+    assert side != c
+    return (tuple(-x for x in n), -c) if side > c else (n, c)
+
+
+def _oracle_simplex(vertex_points, apex):
+    return abs(determinant(IntMatrix([tuple(a - b for a, b in zip(v, apex)) for v in vertex_points])))
+
+
+def _oracle_full_volume(points):
+    r = len(points[0])
+    chosen = [0]
+    for idx in range(1, len(points)):
+        if len(chosen) == r + 1:
+            break
+        diffs = [tuple(a - b for a, b in zip(points[i], points[0])) for i in chosen[1:] + [idx]]
+        if rank(IntMatrix(diffs)) == len(diffs):
+            chosen.append(idx)
+    assert len(chosen) == r + 1
+    interior = tuple(sum(Fraction(points[i][j]) for i in chosen) / (r + 1) for j in range(r))
+    volume = _oracle_simplex([points[i] for i in chosen[:-1]], points[chosen[-1]])
+    facets = []
+    for drop in range(r + 1):
+        verts = frozenset(chosen[:drop] + chosen[drop + 1:])
+        facets.append((verts,) + _oracle_facet(sorted(verts), points, interior))
+    for idx, p in enumerate(points):
+        if idx in chosen:
+            continue
+        visible = [f for f in facets if sum(a * b for a, b in zip(f[1], p)) > f[2]]
+        ridges = {}
+        for verts, _, _ in visible:
+            volume += _oracle_simplex([points[i] for i in sorted(verts)], p)
+            for drop in verts:
+                ridges[verts - {drop}] = ridges.get(verts - {drop}, 0) + 1
+        gone = {f[0] for f in visible}
+        facets = [f for f in facets if f[0] not in gone]
+        for ridge, count in ridges.items():
+            if count == 1:
+                verts = ridge | {idx}
+                facets.append((verts,) + _oracle_facet(sorted(verts), points, interior))
+    return volume
+
+
+def _oracle_volume(points):
+    dim, coords = _oracle_coordinates(points)
+    if dim == 0:
+        return 1
+    if dim == 1:
+        return max(c[0] for c in coords) - min(c[0] for c in coords)
+    return _oracle_full_volume(coords)
+
+
+def _coordinate_index(dim, coords):
+    """Index in Z^dim of the lattice the coordinate tuples generate."""
+    return minor_gcd(IntMatrix(coords), dim) if dim else 1
+
+
+def _point_sets(rng, count):
+    """Seeded point sets in Z^1 .. Z^6: full-dimensional ones, ones inside
+    a lower-dimensional sublattice image (some not saturated), single
+    points, and lists with repeated points."""
+    for case in range(count):
+        n = case % 6 + 1
+        kind = case // 6 % 4
+        if kind == 3:
+            yield [tuple(rng.randint(-5, 5) for _ in range(n))] * rng.randint(1, 3)
+            continue
+        k = n if kind == 0 else rng.randint(1, n)
+        # points of Z^k pushed into Z^n by a random integer map and shifted
+        embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        shift = [rng.randint(-4, 4) for _ in range(n)]
+        m = rng.randint(1, k + 3 if n <= 4 else k + 2)
+        pts = []
+        for _ in range(m):
+            y = [rng.randint(-2, 2) for _ in range(k)]
+            pts.append(tuple(sum(a * b for a, b in zip(row, y)) + s for row, s in zip(embed, shift)))
+        if kind == 2:
+            pts += rng.sample(pts, rng.randint(1, len(pts)))
+            rng.shuffle(pts)
+        yield pts
+
+
+def test_coordinates_match_the_saturation_oracle():
+    rng = random.Random(2024)
+    dims = set()
+    for pts in _point_sets(rng, 600):
+        poly = LatticePolytope(pts)
+        dim, coords = poly.translated_coordinates()
+        odim, ocoords = _oracle_coordinates(pts)
+        assert dim == odim, pts
+        assert len(coords) == len(ocoords) == len(poly.points)
+        assert coords[0] == (0,) * dim
+        assert _coordinate_index(dim, coords) == _coordinate_index(odim, ocoords), pts
+        assert poly.normalized_volume() == _oracle_volume(pts), pts
+        dims.add((len(pts[0]), dim))
+    # every ambient dimension, with both full and lower-dimensional spans
+    assert {n for n, _ in dims} == set(range(1, 7))
+    assert all((n, n) in dims and (n, 0) in dims for n in range(1, 7))
+    assert all(any(0 < d < n for m, d in dims if m == n) for n in range(2, 7))
+
+
+def test_degenerate_facet_raises_internal_error_under_optimize():
+    code = (
+        "from latkit.errors import InternalError\n"
+        "from latkit.volume import _facet_normal\n"
+        "points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]\n"
+        "interior = (2, 1, 1)\n"
+        "print(_facet_normal([0, 1, 2], points, interior))\n"
+        "for facet in ([0, 1, 4], [1, 2, 3]):\n"
+        "    try:\n"
+        "        _facet_normal(facet, points, interior)\n"
+        "    except InternalError as e:\n"
+        "        print(e)\n"
+    )
+    # (0, 0, 0), (1, 0, 0) and (2, 0, 0) are collinear; interior is 4 times
+    # (1/2, 1/4, 1/4), which lies on the plane x + y + z = 1
+    assert run_optimized(code).split("\n") == [
+        "((0, 0, -1), 0)",
+        "facet vertices do not span a hyperplane",
+        "interior reference point lies on a facet plane",
+    ]
