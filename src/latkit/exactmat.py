@@ -292,7 +292,35 @@ def _apply_2x2_cols(m, i, j, a11, a12, a21, a22):
 
 
 def rank(mat: IntMatrix) -> int:
-    return smith_normal_form(mat).rank
+    return _row_rank(mat.to_rows())
+
+
+def _row_rank(rows) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination with
+    row pivoting; no rows, or rows of length 0, give 0. After k pivots
+    every entry of a row not yet pivoted is a (k + 1) x (k + 1) minor,
+    so each division by the previous pivot is exact."""
+    a = [list(r) for r in rows]
+    width = len(a[0]) if a else 0
+    r = 0
+    prev = 1
+    for col in range(width):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[col]
+        for row in a[r + 1:]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+        r += 1
+        if r == len(a):
+            break
+    return r
 
 
 def minor_gcd(mat: IntMatrix, i: int) -> int:

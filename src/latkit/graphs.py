@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactmat import IntMatrix, determinant
 from .ideal import BinomialIdeal, matrix_ideal, saturate_variables, is_lattice_ideal, \
     affine_degree, vanishing_condition, minimal_generator_count
@@ -203,7 +203,8 @@ def _laplacian_report(G: WeightedGraph):
     L = laplacian(G)
     I = matrix_ideal(L)
     vc = vanishing_condition(I)
-    assert vc, "a connected graph Laplacian ideal satisfies the vanishing condition"
+    if not vc:
+        raise InternalError("a connected graph Laplacian ideal satisfies the vanishing condition")
     # the generator count runs the one GRevLex Buchberger of I and caches
     # its basis for affine_degree, the saturation and is_lattice_ideal
     mu = minimal_generator_count(I, (1,) * s)
@@ -213,8 +214,13 @@ def _laplacian_report(G: WeightedGraph):
     top = saturate_variables(I)
     dim_t, deg_t = affine_degree(top)
     order = sandpile_group(G).order
-    assert dim_i == 1 and dim_t == 1
-    assert deg_i == deg_t == order
+    if not dim_i == dim_t == 1:
+        raise InternalError(f"Laplacian and toppling ideals of dimensions {dim_i}, {dim_t}, not 1")
+    if not deg_i == deg_t == order:
+        raise InternalError(
+            f"degrees {deg_i} (Laplacian ideal), {deg_t} (toppling ideal) differ from "
+            f"the sandpile group order {order}"
+        )
     lattice_flag = is_lattice_ideal(I)
     supports = tuple(
         sum(1 for x in I.generators[j].vector if x != 0) for j in range(s)
@@ -222,12 +228,13 @@ def _laplacian_report(G: WeightedGraph):
     support_ok = all(sz >= 4 for sz in supports)
     # column support is 1 + vertex degree on simple graphs, so the
     # degree-based reading (every vertex in >= 3 edges) must agree
-    assert support_ok == all(G.degree(v) >= 3 for v in range(s))
-    if support_ok:
-        assert not lattice_flag, "support hypothesis predicts a non-lattice ideal"
+    if support_ok != all(G.degree(v) >= 3 for v in range(s)):
+        raise InternalError("column supports disagree with the vertex degrees")
+    if support_ok and lattice_flag:
+        raise InternalError("support hypothesis predicts a non-lattice ideal")
     aci = all(G.degree(v) >= 2 for v in range(s))
-    if aci:
-        assert mu == s, "generator count must equal the vertex count"
+    if aci and mu != s:
+        raise InternalError("generator count must equal the vertex count")
     report = LaplacianReport(
         vanishing_condition=vc,
         laplacian_ideal_degree=deg_i,

@@ -12,6 +12,7 @@ order; tail None encodes a bare monomial t^lead.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -686,79 +687,98 @@ def homogenize_ideal(ideal: BinomialIdeal) -> BinomialIdeal:
 # Hilbert series of a monomial ideal, for the degree pipeline
 
 
-def _poly_mul_shift(p, d):
-    return {k + d: v for k, v in p.items()}
-
-
-def _poly_sub(p, q):
+def _add_shifted(p, q, d, c):
+    """p + c t^d q, for polynomials as dicts degree -> nonzero coefficient."""
     out = dict(p)
     for k, v in q.items():
-        nv = out.get(k, 0) - v
+        nv = out.get(k + d, 0) + c * v
         if nv:
-            out[k] = nv
+            out[k + d] = nv
         else:
-            out.pop(k, None)
+            out.pop(k + d, None)
     return out
 
 
 def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda g: (sum(g), g))
+    """The minimal elements of gens under divisibility, in increasing
+    lexicographic order. A divisor precedes its multiples in that order."""
     out = []
-    for g in gens:
+    for g in sorted(set(gens)):
         if not any(_divides(h, g) for h in out):
             out.append(g)
     return tuple(out)
 
 
 def _hilbert_numerator(gens, memo):
-    """Numerator of the Hilbert series of S/(gens) over (1-t)^n."""
-    gens = _minimalize(gens)
-    if not gens:
-        return {0: 1}
-    hit = memo.get(gens)
-    if hit is not None:
-        return hit
-    # coprime supports multiply
-    if len(gens) > 1:
-        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-        if all(
-            not (supports[i] & supports[j])
-            for i in range(len(gens))
-            for j in range(i)
-        ):
-            out = {0: 1}
-            for g in gens:
-                out = _poly_sub(out, _poly_mul_shift(out, sum(g)))
-            memo[gens] = out
-            return out
-    if len(gens) == 1:
-        out = {0: 1, sum(gens[0]): -1}
-        memo[gens] = out
-        return out
-    # split off the generator sharing support with the most others
-    def overlap(g):
-        sg = set(i for i, e in enumerate(g) if e)
-        return sum(1 for h in gens if h is not g and sg & set(i for i, e in enumerate(h) if e))
+    """Numerator N of the Hilbert series N / (1 - t)^n of S/(gens), for
+    exponent vectors gens of monomials in n variables, as a dict degree
+    -> nonzero coefficient; the unit ideal gives {}.
 
-    pivot = max(gens, key=lambda g: (overlap(g), sum(g)))
-    rest = tuple(g for g in gens if g != pivot)
-    colon = tuple(
-        tuple(max(h[i] - pivot[i], 0) for i in range(len(h))) for h in rest
-    )
-    n_rest = _hilbert_numerator(rest, memo)
-    n_colon = _hilbert_numerator(colon, memo)
-    out = _poly_sub(n_rest, _poly_mul_shift(n_colon, sum(pivot)))
-    memo[gens] = out
-    return out
+    Bigatti's pivot ("Computation of Hilbert-Poincare series", JPAA 119,
+    1997): for a monomial p = x_i^e outside I,
+        N(I) = N(I + (p)) + t^e N(I : p).
+    x_i is the variable in the most generators and e the median of its
+    exponents among the generators holding it that are not pure powers
+    of x_i. When no variable is in two generators, their supports are
+    disjoint and N = prod (1 - t^deg g). The recursion runs on an
+    explicit stack; memo maps minimal generator tuples (in lexicographic
+    order) to numerators.
+    """
+    values = []
+    stack = [(_minimalize(gens), 0)]
+    while stack:
+        node, e = stack.pop()
+        if e:
+            # both children are done: the colon's numerator is on top
+            colon = values.pop()
+            out = memo[node] = _add_shifted(values.pop(), colon, e, 1)
+            values.append(out)
+            continue
+        out = memo.get(node)
+        if out is None:
+            counts = [len(node) - col.count(0) for col in zip(*node)]
+            top = max(counts, default=0)
+            if top >= 2:
+                i = counts.index(top)
+                exps = sorted(g[i] for g in node if 0 < g[i] < sum(g))
+                e = exps[len(exps) // 2]
+                # x_i^e is not in I: a pure power x_i^f among the minimal
+                # generators has f above every other exponent of x_i. So
+                # I + (x_i^e) is minimally generated by x_i^e and the
+                # generators with fewer than e factors x_i.
+                plus = [g for g in node if g[i] < e]
+                bisect.insort(plus, tuple(e if j == i else 0 for j in range(len(counts))))
+                # the generators of I : x_i^e that keep some x_i form an
+                # antichain; only those without x_i can divide another
+                low, high = [], []
+                for g in node:
+                    if g[i] <= e:
+                        low.append(g[:i] + (0,) + g[i + 1:])
+                    else:
+                        high.append(g[:i] + (g[i] - e,) + g[i + 1:])
+                low = _minimalize(low)
+                high = [h for h in high if not any(_divides(l, h) for l in low)]
+                stack.append((node, e))
+                stack.append((tuple(sorted(low + tuple(high))), 0))
+                stack.append((tuple(plus), 0))
+                continue
+            out = {0: 1}
+            for g in node:
+                out = _add_shifted(out, out, sum(g), -1)
+            memo[node] = out
+        values.append(out)
+    return values.pop()
 
 
 def affine_degree(ideal: BinomialIdeal):
     """(dimension, degree) of the quotient by the ideal, computed through
     the graded data of the homogenized initial ideal.
 
-    The Hilbert series numerator of the initial ideal is divided by
-    (1 - t) until it no longer vanishes at 1; what remains evaluates to
-    the degree, and the number of cancellations fixes the dimension.
+    The Hilbert series numerator of the initial ideal (the GRevLex
+    leads; `_hilbert_numerator`, Bigatti's pivot on an explicit stack)
+    is divided by (1 - t) until it no longer vanishes at 1; what remains
+    evaluates to the degree, and the number of cancellations fixes the
+    dimension.
     This is the oracle the closed-form degree routines are checked
     against.
     """

@@ -242,3 +242,42 @@ def test_signed_minors_are_the_last_adjoint_column():
     assert dependent_seen >= 50 and independent_seen >= 150
     with pytest.raises(PreconditionError):
         _signed_minors([(1, 2, 3)], 3)
+
+
+def _planted_rank_matrix(rng):
+    """rows x cols with rank at most k: each row an integer combination
+    of k random rows, one in four of them zero, columns zeroed at random."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    k = rng.randint(0, min(rows, cols))
+    basis = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(k)]
+    dead = {j for j in range(cols) if rng.random() < 0.15}
+    out = []
+    for _ in range(rows):
+        coeffs = [rng.randint(-3, 3) if rng.random() < 0.75 else 0 for _ in range(k)]
+        out.append([0 if j in dead else sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols)])
+    return IntMatrix(out), k
+
+
+def test_rank_matches_smith_form_oracle():
+    rng = random.Random(4141)
+    deficient = 0
+    for _ in range(360):
+        m, k = _planted_rank_matrix(rng)
+        want = smith_normal_form(m).rank
+        assert rank(m) == want <= k, m.to_rows()
+        deficient += want < min(m.rows, m.cols)
+    assert deficient >= 150
+
+
+def test_row_rank_of_empty_shapes():
+    from latkit.exactmat import _row_rank
+
+    # IntMatrix has no 0 x n or n x 0 shape; the elimination itself
+    # takes them and finds rank 0
+    with pytest.raises(ValueError):
+        IntMatrix([])
+    with pytest.raises(ValueError):
+        IntMatrix([[], []])
+    assert _row_rank([]) == 0
+    assert _row_rank([[], [], []]) == 0
+    assert _row_rank([[0, 0, 0]]) == 0

@@ -28,6 +28,7 @@ from exampledata import (
     directed_demo,
     path_graph,
 )
+from optimized import run_optimized
 
 
 def test_demo_laplacian_entries():
@@ -239,3 +240,24 @@ def test_report_runs_one_grevlex_buchberger(monkeypatch):
         # is_lattice_ideal read its basis, and the toppling ideal's basis
         # comes from the saturation
         assert runs == [sorted(matrix_ideal(laplacian(G))._elements())]
+
+
+def test_report_degree_check_raises_internal_error_under_optimize():
+    # a planted off-by-one Laplacian ideal degree must still be caught
+    # when asserts are stripped
+    code = (
+        "import latkit.graphs as graphs\n"
+        "from latkit import InternalError, WeightedGraph\n"
+        "real = graphs.affine_degree\n"
+        "G = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])\n"
+        "print(graphs.laplacian_report(G).laplacian_ideal_degree)\n"
+        "graphs.affine_degree = lambda I: (real(I)[0], real(I)[1] + 1)\n"
+        "try:\n"
+        "    graphs.laplacian_report(G)\n"
+        "except InternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code).split("\n") == [
+        "3",
+        "degrees 4 (Laplacian ideal), 4 (toppling ideal) differ from the sandpile group order 3",
+    ]

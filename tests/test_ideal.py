@@ -971,3 +971,212 @@ def test_minimal_generator_count_matches_restart_oracle_laplacians():
         top = saturate_variables(matrix_ideal(L))
         want = _minimal_generator_count_by_restarts(top, (1,) * n)
         assert minimal_generator_count(BinomialIdeal(n, top.generators), (1,) * n) == want, edges
+
+
+# ---------------------------------------------------------------------------
+# Hilbert numerators by the former generator pivot: split off the generator
+# whose support meets the most others, N(I) = N(J) - t^deg g N(J : g) for
+# I = J + (g), recursing in Python. The oracle for Bigatti's pivot.
+
+
+def _oracle_poly_sub(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        nv = out.get(k, 0) - v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _oracle_minimalize(gens):
+    gens = sorted(set(gens), key=lambda g: (sum(g), g))
+    out = []
+    for g in gens:
+        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
+            out.append(g)
+    return tuple(out)
+
+
+def _hilbert_numerator_by_generator_pivot(gens, memo):
+    """The former recursion. Its single-generator case is the literal
+    {0: 1, deg: -1}, which reads {0: -1} for the unit ideal (deg 0)."""
+    gens = _oracle_minimalize(gens)
+    if not gens:
+        return {0: 1}
+    hit = memo.get(gens)
+    if hit is not None:
+        return hit
+    if len(gens) > 1:
+        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+        if all(not (supports[i] & supports[j]) for i in range(len(gens)) for j in range(i)):
+            out = {0: 1}
+            for g in gens:
+                out = _oracle_poly_sub(out, {k + sum(g): v for k, v in out.items()})
+            memo[gens] = out
+            return out
+    if len(gens) == 1:
+        out = {0: 1, sum(gens[0]): -1}
+        memo[gens] = out
+        return out
+
+    def overlap(g):
+        sg = set(i for i, e in enumerate(g) if e)
+        return sum(1 for h in gens if h is not g and sg & set(i for i, e in enumerate(h) if e))
+
+    pivot = max(gens, key=lambda g: (overlap(g), sum(g)))
+    rest = tuple(g for g in gens if g != pivot)
+    colon = tuple(tuple(max(h[i] - pivot[i], 0) for i in range(len(h))) for h in rest)
+    n_rest = _hilbert_numerator_by_generator_pivot(rest, memo)
+    n_colon = _hilbert_numerator_by_generator_pivot(colon, memo)
+    out = _oracle_poly_sub(n_rest, {k + sum(pivot): v for k, v in n_colon.items()})
+    memo[gens] = out
+    return out
+
+
+def test_hilbert_numerator_of_the_unit_ideal_is_zero():
+    from latkit.ideal import _hilbert_numerator
+
+    # the Hilbert series of S/S is 0
+    assert _hilbert_numerator(((0, 0),), {}) == {}
+    assert _hilbert_numerator(((0, 0), (1, 0)), {}) == {}
+    assert _hilbert_numerator_by_generator_pivot(((0, 0),), {}) == {0: -1}
+
+
+def _random_monomial_ideal(rng, s):
+    """Exponent vectors with pure powers, repeats, multiples of earlier
+    generators and, now and then, the zero vector."""
+    gens = []
+    for _ in range(rng.randint(1, 40)):
+        roll = rng.random()
+        if roll < 0.15:
+            g = [0] * s
+            g[rng.randrange(s)] = rng.randint(2, 8)
+        elif roll < 0.25 and gens:
+            g = list(rng.choice(gens))
+        elif roll < 0.4 and gens:
+            g = [x + rng.choice((0, 0, 1, 2)) for x in rng.choice(gens)]
+        else:
+            g = [0] * s
+            while not any(g):
+                g = [rng.choice((1, 1, 2, 3, 4)) if rng.random() < 2.5 / s else 0 for _ in range(s)]
+        gens.append(tuple(g))
+    if rng.random() < 0.04:
+        gens.insert(rng.randrange(len(gens) + 1), (0,) * s)
+    return tuple(gens)
+
+
+def test_hilbert_numerator_matches_generator_pivot_oracle_random():
+    from latkit.ideal import _hilbert_numerator
+
+    rng = random.Random(2024)
+    units = 0
+    for n in range(240):
+        s = n % 7 + 1
+        gens = _random_monomial_ideal(rng, s)
+        got = _hilbert_numerator(gens, {})
+        if (0,) * s in gens:
+            # the unit ideal, where the oracle reads {0: -1}
+            assert got == {}, gens
+            units += 1
+        else:
+            assert got == _hilbert_numerator_by_generator_pivot(gens, {}), gens
+    assert units >= 3
+
+
+def test_hilbert_numerator_matches_generator_pivot_oracle_tier1(monkeypatch):
+    import latkit.ideal as ideal_module
+    from latkit import WeightedGraph, laplacian, laplacian_report
+    from exampledata import complete_graph, demo_graph
+    from propsuites import suite_degree_oracle
+
+    seen = []
+    pivot = ideal_module._hilbert_numerator
+
+    def recorded(gens, memo):
+        seen.append(gens)
+        return pivot(gens, memo)
+
+    monkeypatch.setattr(ideal_module, "_hilbert_numerator", recorded)
+    # the degree computations of the tier-1 tests
+    suite_degree_oracle()
+    for G in (demo_graph(), complete_graph(3), complete_graph(4), complete_graph(5)):
+        laplacian_report(G)
+    # the graphs of test_graphs.test_sandpile_degree_matches_tree_count_random
+    rng = random.Random(31415)
+    for _ in range(8):
+        n = rng.randint(3, 4)
+        W = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                W[i][j] = W[j][i] = rng.randint(0, 3)
+        for i in range(n - 1):
+            if W[i][i + 1] == 0:
+                W[i][i + 1] = W[i + 1][i] = 1
+        edges = [(i, j, W[i][j]) for i in range(n) for j in range(i + 1, n) if W[i][j]]
+        affine_degree(saturate_variables(matrix_ideal(laplacian(WeightedGraph(n, edges)))))
+    affine_degree(saturate_variables(matrix_ideal(IntMatrix(DENSE_PCB_4X4))))
+    affine_degree(_vector_ideal([(1, -1)]))
+    affine_degree(saturate_variables(_vector_ideal([(2, 0), (0, 3)])))
+    assert len(seen) >= 110 and max(map(len, seen)) >= 10
+    for gens in seen:
+        assert pivot(gens, {}) == _hilbert_numerator_by_generator_pivot(gens, {}), gens
+
+
+def _staircase(rng, k):
+    """x^a y^b z^h(a, b) for a + b <= k, with h(a, b) = 2 (k - a - b) + r
+    and r in {0, 1}: h falls strictly as (a, b) grows, so no generator
+    divides another. r is 0 at (k, 0) and (0, k), so x^k, y^k and
+    z^(2k + r) are among the generators."""
+    gens = []
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            r = 0 if a + b == k and 0 in (a, b) else rng.randint(0, 1)
+            gens.append((a, b, 2 * (k - a - b) + r))
+    return gens
+
+
+def _numerator_by_enumeration(gens, k):
+    """(1 - t)^3 times the count of standard monomials in each degree:
+    x^a y^b z^c lies outside the ideal iff c is below every h of a
+    generator x^a' y^b' z^h with a' <= a and b' <= b."""
+    counts = {}
+    for a in range(k):
+        for b in range(k):
+            height = min(h for a2, b2, h in gens if a2 <= a and b2 <= b)
+            for c in range(height):
+                counts[a + b + c] = counts.get(a + b + c, 0) + 1
+    out = counts
+    for _ in range(3):
+        shifted = {}
+        for d, v in out.items():
+            shifted[d] = shifted.get(d, 0) + v
+            shifted[d + 1] = shifted.get(d + 1, 0) - v
+        out = {d: v for d, v in shifted.items() if v}
+    return out
+
+
+def test_hilbert_numerator_of_a_600_generator_staircase():
+    import inspect
+    import sys
+    import time
+
+    from latkit.ideal import _hilbert_numerator
+
+    k = 34
+    gens = _staircase(random.Random(600), k)
+    assert len(gens) >= 600 and {(k, 0, 0), (0, k, 0)} <= set(gens)
+    want = _numerator_by_enumeration(gens, k)
+    # the pivot runs on an explicit stack: a few frames above the caller
+    # are all it may use
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        start = time.perf_counter()
+        got = _hilbert_numerator(tuple(gens), {})
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert elapsed < 10, elapsed
