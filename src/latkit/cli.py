@@ -4,18 +4,34 @@ Every subcommand reads one input file (or stdin via `-`), calls the
 library, and prints either key/value lines or a JSON report. Integers
 in JSON are decimal strings so consumers with 64-bit parsers stay safe.
 Exit codes: 0 success, 1 violated math precondition, 2 parse or I/O
-problem, 3 internal error (a bug; one `error: internal: ...` line, never
-a traceback). A closed stdout ends the run quietly with 141, the status
-of a process killed by SIGPIPE.
+problem or a bad command line, 3 internal error (a bug; one
+`error: internal: ...` line, never a traceback). A bad command line
+prints one `error: ...` line rather than argparse's usage block, and
+`main` returns its code instead of raising SystemExit. A closed stdout
+ends the run quietly with 141, the status of a process killed by SIGPIPE.
+
+The argument parser is built once per process, on the first call.
+`_run` parses and runs one command line and returns its exit code,
+payload and error line; `main` and `latkit batch FILE` print what it
+returns. `batch` runs each non-blank, non-`#` line of FILE as one
+command line (split with `shlex.split`) and prints one JSON line per
+job, `{"schema", "line", "argv", "exit"}` plus the job's `payload`
+(the `--json` report of the same command) or its `error` line. One
+failing job does not stop the batch; it exits with the largest job
+exit code, or 2 when FILE cannot be read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import os
+import shlex
 import sys
 import time
+from contextlib import redirect_stdout
 
 from . import fileformats
 from .cb3 import DEFAULT_EXPONENT_CAP, cb_properties_check, cb_structure, find_hull_gcb3
@@ -88,6 +104,7 @@ def _human_value(value):
 
 
 def _human_lines(payload, indent=""):
+    """Key/value lines of a JSON-ready payload (see `_jsonify`)."""
     lines = []
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -97,10 +114,10 @@ def _human_lines(payload, indent=""):
             lines.append(f"{indent}{key}:")
             lines.extend(_human_lines(value, indent + "  "))
         elif isinstance(value, (list, tuple)):
-            if all(isinstance(v, (int, str)) and not isinstance(v, bool) for v in value):
+            if all(isinstance(v, str) for v in value):
                 lines.append(f"{indent}{key}: {' '.join(str(v) for v in value)}")
-            elif all(isinstance(v, (list, tuple)) for v in value) and all(
-                isinstance(x, int) for v in value for x in v
+            elif all(isinstance(v, list) for v in value) and all(
+                isinstance(x, str) for v in value for x in v
             ):
                 lines.append(f"{indent}{key}:")
                 lines.extend(f"{indent}  {' '.join(str(x) for x in row)}" for row in value)
@@ -304,8 +321,18 @@ def _cmd_volume(args):
     return {"normalized_volume": normalized_volume(points)}
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a
+    ParseError, so that it exits 2 with one `error:` line instead of
+    printing its usage and raising SystemExit. Subparsers share the
+    class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="latkit",
         description="Exact computations with lattice ideals, matrix ideals and graph Laplacians.",
     )
@@ -318,25 +345,25 @@ def _build_parser():
         p.set_defaults(handler=handler)
         return p
 
-    add("snf", _cmd_snf, "Smith normal form of an integer matrix")
-    add("torsion", _cmd_torsion, "torsion of Z^s modulo a lattice")
+    add("snf", "_cmd_snf", "Smith normal form of an integer matrix")
+    add("torsion", "_cmd_torsion", "torsion of Z^s modulo a lattice")
 
     p = sub.add_parser("degree", help="degree of a lattice/toric/binomial/matrix ideal")
     p.add_argument("kind", choices=["lattice", "toric", "ideal", "matrix"])
     p.add_argument("file", help="input file, or - for stdin")
     p.add_argument("--grading", help="comma-separated positive weights (lattice only)")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(handler=_cmd_degree)
+    p.set_defaults(handler="_cmd_degree")
 
-    add("saturate", _cmd_saturate, "saturate a binomial ideal by the product of variables")
-    add("hull", _cmd_hull, "hull (saturation) of a matrix ideal")
-    add("classify", _cmd_classify, "membership in the six sign-pattern matrix classes")
+    add("saturate", "_cmd_saturate", "saturate a binomial ideal by the product of variables")
+    add("hull", "_cmd_hull", "hull (saturation) of a matrix ideal")
+    add("classify", "_cmd_classify", "membership in the six sign-pattern matrix classes")
 
-    p = add("laplacian", _cmd_laplacian, "Laplacian matrix and sandpile data of a graph")
+    p = add("laplacian", "_cmd_laplacian", "Laplacian matrix and sandpile data of a graph")
     p.add_argument("--digraph", action="store_true", help="directed input")
     p.add_argument("--full-report", action="store_true", help="degrees, hull, generator count")
 
-    add("decompose", _cmd_decompose, "rational orbit report of a graded rank s-1 lattice")
+    add("decompose", "_cmd_decompose", "rational orbit report of a graded rank s-1 lattice")
 
     p = sub.add_parser("cb3", help="critical binomials in three variables")
     p.add_argument("mode", choices=["structure", "findhull", "check"])
@@ -344,40 +371,95 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=DEFAULT_EXPONENT_CAP,
                    help="exponent cap for the critical binomial search")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(handler=_cmd_cb3)
+    p.set_defaults(handler="_cmd_cb3")
 
-    add("volume", _cmd_volume, "normalized volume of a lattice polytope")
+    add("volume", "_cmd_volume", "normalized volume of a lattice polytope")
+
+    p = sub.add_parser("batch", help="run one subcommand per line of a file, JSON lines out")
+    p.add_argument("file", help="job file, or - for stdin")
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
+@functools.cache
+def _parser():
+    """The one parser of this process, built on first use."""
+    return _build_parser()
+
+
+def _run(argv, nested=False):
+    """Parse one command line and run it.
+
+    Returns (exit code, payload, error line, JSON flag): the payload is
+    the JSON-ready report of a successful subcommand and None otherwise;
+    the error line is the one `error: ...` line of a failure. Handlers
+    are looked up by name at each call, so a replaced `_cmd_*` takes
+    effect. `batch` prints its own JSON lines and returns no payload;
+    inside a batch (`nested`) it is an error. A BrokenPipeError is left
+    to the caller, which owns stdout.
+    """
     try:
-        result = args.handler(args)
+        args = _parser().parse_args(argv)
+        if args.command == "batch":
+            if nested:
+                raise ParseError("a batch job cannot run batch")
+            return _batch(_read_input(args.file)), None, None, False
+        started = time.monotonic()
+        result = globals()[args.handler](args)
         elapsed_ms = int((time.monotonic() - started) * 1000)
         payload = {"schema": SCHEMA, "command": args.command, "input": args.file}
         payload.update(result)
         payload["elapsed_ms"] = elapsed_ms
-        if args.json:
-            print(json.dumps(_jsonify(payload), indent=2))
-        else:
-            print("\n".join(_human_lines(payload)))
+        return 0, _jsonify(payload), None, args.json
+    except SystemExit:  # -h/--help has printed the usage text
+        return 0, None, None, False
     except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2, None, f"error: {e}", False
     except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 1, None, f"error: {e}", False
+    except BrokenPipeError:
+        raise
+    except Exception as e:  # a bug: report it in one line, without a traceback
+        detail = str(e) if isinstance(e, InternalError) else f"{type(e).__name__}: {e}"
+        return 3, None, f"error: internal: {' '.join(detail.split())}", False
+
+
+def _batch(text):
+    """Run each job line of a batch file's text through `_run` and print
+    one JSON line per job; the exit code is the largest of the jobs'."""
+    worst = 0
+    for k, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as e:
+            argv, code, payload, error = None, 2, None, f"error: cannot split line: {e}"
+        else:
+            with redirect_stdout(io.StringIO()) as captured:
+                code, payload, error, _ = _run(argv, nested=True)
+            if captured.getvalue():
+                code, error = 2, "error: --help is not available in a batch job"
+        record = {"schema": SCHEMA, "line": k, "argv": argv, "exit": code}
+        if payload is not None:
+            record["payload"] = payload
+        else:
+            record["error"] = error
+        print(json.dumps(record))
+        worst = max(worst, code)
+    return worst
+
+
+def main(argv=None) -> int:
+    try:
+        code, payload, error, as_json = _run(argv)
+        if payload is not None:
+            print(json.dumps(payload, indent=2) if as_json else "\n".join(_human_lines(payload)))
+        if error is not None:
+            print(error, file=sys.stderr)
     except BrokenPipeError:
         _detach_stdout()
         return 141
-    except Exception as e:  # a bug: report it in one line, without a traceback
-        detail = str(e) if isinstance(e, InternalError) else f"{type(e).__name__}: {e}"
-        print(f"error: internal: {' '.join(detail.split())}", file=sys.stderr)
-        return 3
-    return 0
+    return code
 
 
 def _detach_stdout():

@@ -323,3 +323,168 @@ def test_closed_stdout_is_quiet():
         os.close(w)
     assert done.returncode == 141
     assert done.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["snf"], "error: the following arguments are required: file\n"),
+        (["degree", "bogus", "x"], "error: argument kind: invalid choice: 'bogus'"),
+        (["snf", "x", "--nope"], "error: unrecognized arguments: --nope\n"),
+        (["frob"], "error: argument command: invalid choice: 'frob'"),
+    ],
+)
+def test_bad_argv_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+def test_help_prints_usage_and_returns_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: latkit") and "batch" in out
+    assert err == ""
+    code, out, err = run(capsys, "degree", "-h")
+    assert code == 0
+    assert out.startswith("usage: latkit degree")
+
+
+# one call per subcommand and mode, with the options each one takes
+EVERY_SUBCOMMAND = [
+    ["snf", str(DATA / "kernel235.mat")],
+    ["torsion", str(DATA / "torsion2.lat")],
+    ["degree", "lattice", str(DATA / "rank4_z8.lat")],
+    ["degree", "lattice", str(DATA / "torsion2.lat"), "--grading", "5,6,7"],
+    ["degree", "toric", str(DATA / "unit_cycle_points.mat")],
+    ["degree", "ideal", str(DATA / "affine_curve.ideal")],
+    ["degree", "matrix", str(DATA / "nearly_regular4.mat")],
+    ["saturate", str(DATA / "torsion2.ideal")],
+    ["hull", str(DATA / "kernel235.mat")],
+    ["classify", str(DATA / "kernel211.mat")],
+    ["laplacian", str(DATA / "demo4.graph"), "--full-report"],
+    ["laplacian", str(DATA / "demo4_digraph.graph"), "--digraph"],
+    ["decompose", str(DATA / "torsion2.lat")],
+    ["cb3", "structure", str(DATA / "torsion2.lat")],
+    ["cb3", "findhull", str(DATA / "kernel211.mat")],
+    ["cb3", "check", str(DATA / "kernel211.mat")],
+    ["volume", str(DATA / "segment_pair.mat")],
+]
+FAILING = [
+    (["decompose", str(DATA / "affine_curve.lat")], 1),
+    (["snf", str(DATA / "demo4.graph")], 2),
+    (["snf", "x", "--nope"], 2),
+]
+
+
+def _masked(capsys, argv):
+    """(exit code, stdout without its elapsed_ms line, stderr) of one main call."""
+    code, out, err = run(capsys, *argv)
+    lines = [ln for ln in out.splitlines() if "elapsed_ms" not in ln]
+    return code, lines, err
+
+
+def test_cached_parser_matches_a_fresh_parser(capsys, monkeypatch):
+    calls = []
+    for argv in EVERY_SUBCOMMAND:
+        calls += [argv + ["--json"], argv]
+    for argv, _ in FAILING:
+        calls += [argv, argv + ["--json"]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli._build_parser)
+        expected = {tuple(argv): _masked(capsys, argv) for argv in calls}
+    assert {c for c, _, _ in expected.values()} == {0, 1, 2}
+
+    cli._parser.cache_clear()
+    # every call twice, each success followed by a failure
+    failing = [argv for argv, _ in FAILING]
+    for k in range(2):
+        for i, argv in enumerate(calls):
+            assert _masked(capsys, argv) == expected[tuple(argv)], argv
+            bad = failing[(i + k) % len(failing)]
+            assert _masked(capsys, bad) == expected[tuple(bad)], bad
+    assert cli._parser() is cli._parser()
+    assert cli._parser.cache_info().misses == 1
+
+    snf = ["snf", str(DATA / "kernel235.mat"), "--json"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_cmd_snf", _failing_handler(RuntimeError("patched")))
+        assert _masked(capsys, snf) == (3, [], "error: internal: RuntimeError: patched\n")
+    assert _masked(capsys, snf) == expected[tuple(snf)]
+
+
+def _batch_records(capsys, text, tmp_path):
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text(text)
+    code, out, err = run(capsys, "batch", str(jobs))
+    assert err == ""
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+def test_batch_payloads_equal_single_commands(capsys, tmp_path):
+    import shlex
+
+    lines = ["# one job per subcommand", ""]
+    lines += [shlex.join(argv) for argv in EVERY_SUBCOMMAND]
+    lines += ["  ", shlex.join(FAILING[0][0]), "batch jobs.txt", shlex.join(FAILING[2][0])]
+    lines += [shlex.join(EVERY_SUBCOMMAND[0] + ["--json"]), "snf 'unclosed"]
+    code, records = _batch_records(capsys, "\n".join(lines) + "\n", tmp_path)
+    assert code == 2
+    jobs = [(k, ln) for k, ln in enumerate(lines, 1) if ln.strip() and not ln.startswith("#")]
+    assert [r["line"] for r in records] == [k for k, _ in jobs]
+    for (k, line), record in zip(jobs, records):
+        assert record["schema"] == "latkit/1"
+        assert set(record) == {"schema", "line", "argv", "exit", "payload" if record["exit"] == 0 else "error"}
+        if line == "snf 'unclosed":
+            assert record["argv"] is None
+            assert record["exit"] == 2 and record["error"].startswith("error: ")
+            continue
+        argv = shlex.split(line)
+        assert record["argv"] == argv
+        single_code, out, err = run(capsys, *argv, *([] if "--json" in argv else ["--json"]))
+        if argv[0] == "batch":
+            assert record["exit"] == 2
+            assert record["error"] == "error: a batch job cannot run batch"
+            continue
+        assert record["exit"] == single_code
+        if single_code == 0:
+            want = json.loads(out)
+            del want["elapsed_ms"], record["payload"]["elapsed_ms"]
+            assert record["payload"] == want
+        else:
+            assert record["error"] + "\n" == err
+            assert "Traceback" not in err
+
+
+def test_batch_exit_codes(capsys, tmp_path):
+    ok = f"torsion {DATA / 'torsion2.lat'}\n"
+    assert _batch_records(capsys, ok, tmp_path)[0] == 0
+    code, records = _batch_records(capsys, f"{ok}decompose {DATA / 'affine_curve.lat'}\n", tmp_path)
+    assert code == 1 and [r["exit"] for r in records] == [0, 1]
+    assert _batch_records(capsys, "# nothing to run\n\n", tmp_path) == (0, [])
+    code, out, err = run(capsys, "batch", str(tmp_path / "missing.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+    code, records = _batch_records(capsys, "snf --help\n", tmp_path)
+    assert code == 2 and records[0]["error"].startswith("error: ")
+
+
+def test_batch_from_stdin_in_a_subprocess(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    jobs = f"snf {DATA / 'identity3.mat'}\n# comment\ncb3 structure {DATA / 'torsion2.lat'} --max-iter 3\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "latkit.cli", "batch", "-"],
+        input=jobs, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == ""
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(r["line"], r["exit"]) for r in records] == [(1, 0), (3, 1)]
+    assert records[0]["payload"]["gamma"] == ["1", "1", "1"]

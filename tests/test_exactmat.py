@@ -217,6 +217,17 @@ def test_ext_gcd_returns_nonnegative_gcd_and_bezout_pair():
         assert g == gcd(a, b) and x * a + y * b == g
 
 
+def _signed_minors_by_cofactors(rows, n):
+    """Oracle: n Bareiss determinants of order n - 1, one per column."""
+    if n == 1:
+        return (1,)
+    out = []
+    for i in range(n):
+        m = determinant(IntMatrix([list(r[:i]) + list(r[i + 1:]) for r in rows]))
+        out.append(-m if (n - 1 + i) % 2 else m)
+    return tuple(out)
+
+
 def test_signed_minors_are_the_last_adjoint_column():
     from latkit.exactmat import _signed_minors
 
@@ -231,6 +242,7 @@ def test_signed_minors_are_the_last_adjoint_column():
             c = rng.randint(-2, 2)
             rows[k] = [c * a for a in rows[j]]
         w = _signed_minors(rows, n)
+        assert w == _signed_minors_by_cofactors(rows, n)
         extra = [rng.randint(-4, 4) for _ in range(n)]
         adj = adjoint(IntMatrix(rows + [extra]))
         assert w == adj.column(n - 1)
@@ -242,6 +254,31 @@ def test_signed_minors_are_the_last_adjoint_column():
     assert dependent_seen >= 50 and independent_seen >= 150
     with pytest.raises(PreconditionError):
         _signed_minors([(1, 2, 3)], 3)
+
+
+def test_signed_minors_match_the_cofactor_loop_up_to_order_12():
+    from latkit.exactmat import _signed_minors
+
+    rng = random.Random(6113)
+    zero = nonzero = 0
+    for case in range(300):
+        n = case % 12 + 1
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n - 1)]
+        if n > 2 and rng.random() < 0.4:
+            # plant a dependency: one row a combination of two others
+            j, k, t = rng.sample(range(n - 1), 3) if n > 3 else (0, 1, 0)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[k] = [c * x + d * y for x, y in zip(rows[j], rows[t])]
+        if n > 1 and rng.random() < 0.25:
+            # columns of zeros or sparse rows move the free column around
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = 0 if rng.random() < 0.7 else row[col]
+        w = _signed_minors(rows, n)
+        assert w == _signed_minors_by_cofactors(rows, n), (rows, n)
+        zero += not any(w)
+        nonzero += any(w)
+    assert zero >= 50 and nonzero >= 150
 
 
 def _planted_rank_matrix(rng):
