@@ -253,7 +253,10 @@ def _cmd_laplacian(args):
     if not isinstance(graph, WeightedGraph):
         raise ParseError("directed graph file needs --digraph")
     L = laplacian(graph)
-    group = sandpile_group(graph)
+    if args.full_report:
+        rep, top, group = _laplacian_report(graph)
+    else:
+        group = sandpile_group(graph)
     payload = {
         "vertices": graph.vertex_count,
         "laplacian": _matrix_entry(L),
@@ -262,7 +265,6 @@ def _cmd_laplacian(args):
         "spanning_trees": spanning_tree_count(graph),
     }
     if args.full_report:
-        rep, top = _laplacian_report(graph)
         payload.update(
             {
                 "vanishing_condition": rep.vanishing_condition,

@@ -602,8 +602,25 @@ def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
         )
     else:
         kept = _saturate_by_marker(ideal, e)
-    out = BinomialIdeal(s, [Binomial(l, t) for l, t in kept])
-    out._prime_cache(MonomialOrder.grevlex(s), kept)
+    return _ideal_of_grevlex_basis(s, kept)
+
+
+def _ideal_of_grevlex_basis(s, basis):
+    """The ideal with the sorted reduced GRevLex basis as generators,
+    that basis cached on it."""
+    out = BinomialIdeal(s, [Binomial(l, t) for l, t in basis])
+    out._prime_cache(MonomialOrder.grevlex(s), basis)
+    return out
+
+
+def _lattice_ideal_of(s, elems):
+    """The ideal generated by (plus, minus) exponent pairs in s variables
+    that the caller knows to generate a lattice ideal: one GRevLex
+    Buchberger run, its reduced basis as generators and cached, and the
+    ideal recorded as its own saturation, as saturate_variables records
+    its results."""
+    out = _ideal_of_grevlex_basis(s, _buchberger(elems, _grevlex_cmp)[0])
+    out._cache.setdefault(_SATURATION, _ITSELF)
     return out
 
 

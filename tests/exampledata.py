@@ -2,6 +2,10 @@
 exact invariants, used across the unit tests and the acceptance suite.
 """
 
+import random
+import sys
+from pathlib import Path
+
 from latkit import Binomial, IntMatrix, Lattice, WeightedDigraph, WeightedGraph
 
 # 4-vertex weighted demo graph: edges (i, j, weight), 0-based
@@ -167,3 +171,16 @@ def column_lattice(rows) -> Lattice:
 
 def binomials(pairs):
     return [Binomial(p, m) for p, m in pairs]
+
+
+def toppling_pool():
+    """The (kind, (vertex count, weighted edges)) jobs of the seed-1 pool
+    of the benchmark's toppling workload, read from perfbench/workloads.py."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    jobs = workloads.toppling_jobs(random.Random(1), workloads.TOPPLING_CYCLES)
+    return [(job.kind, job.data) for job in jobs]

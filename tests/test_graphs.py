@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,14 +9,20 @@ from latkit import (
     WeightedDigraph,
     WeightedGraph,
     adjoint,
+    affine_degree,
+    is_lattice_ideal,
     laplacian,
     laplacian_digraph,
     laplacian_report,
+    matrix_ideal,
+    minimal_generator_count,
     minor_gcd,
     sandpile_group,
+    saturate_variables,
     spanning_tree_count,
     toppling_ideal,
 )
+from latkit.graphs import _connected_cuts, _laplacian_report
 
 from exampledata import (
     DIRECTED_DEMO_LAPLACIAN,
@@ -27,6 +34,7 @@ from exampledata import (
     demo_graph,
     directed_demo,
     path_graph,
+    toppling_pool,
 )
 from optimized import run_optimized
 
@@ -261,3 +269,116 @@ def test_report_degree_check_raises_internal_error_under_optimize():
         "3",
         "degrees 4 (Laplacian ideal), 4 (toppling ideal) differ from the sandpile group order 3",
     ]
+
+
+# ---------------------------------------------------------------------------
+# toppling ideals from connected cuts. The oracle is the report's hull, the
+# saturation of the Laplacian matrix ideal by the variables.
+
+
+def _pool_graphs():
+    """The distinct graphs of the benchmark's seed-1 toppling pool."""
+    return [WeightedGraph(n, edges) for n, edges in sorted({data for _, data in toppling_pool()})]
+
+
+# graphs per kind and vertex count: the oracle's saturation takes up to
+# half a second on one graph of 9 or 10 vertices, and there are only a
+# few distinct weighted graphs on 2 or 3 vertices
+_SEEDED_COUNTS = {2: 3, 3: 10, 4: 25, 5: 32, 6: 16, 7: 8, 8: 6, 9: 3, 10: 3}
+
+
+def _seeded_graphs():
+    """309 distinct connected graphs on 2..10 vertices with weights 1..3:
+    trees, cycles and trees with up to max(1, 9 - n) chords,
+    _SEEDED_COUNTS of each, and 4 complete graphs of each size up to 6."""
+    rng = random.Random(1112)
+    graphs = {}
+    for n, count in _SEEDED_COUNTS.items():
+        for family in ("tree", "cycle", "complete", "chords"):
+            copies = count if family != "complete" else 4 if n <= 6 else 0
+            for _ in range(copies):
+                if family == "cycle":
+                    pairs = [(v, v + 1) for v in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+                elif family == "complete":
+                    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                else:
+                    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+                    if family == "chords":
+                        rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+                        pairs += rng.sample(rest, min(len(rest), rng.randint(1, max(1, 9 - n))))
+                G = WeightedGraph(n, [(i, j, rng.randint(1, 3)) for i, j in pairs])
+                graphs.setdefault((n, G.edges), G)
+    return list(graphs.values())
+
+
+def test_toppling_ideal_is_the_report_hull():
+    # the paper's theorem: the hull of the Laplacian ideal is the ideal of
+    # the connected cuts. Manjunath and Sturmfels ("Monomials, binomials and
+    # Riemann-Roch", J. Algebraic Combin. 37, 2013): no cut binomial is
+    # redundant
+    pool, seeded = _pool_graphs(), _seeded_graphs()
+    assert (len(pool), len(seeded)) == (129, 309)
+    for G in pool + seeded:
+        top, hull = toppling_ideal(G), _laplacian_report(G)[1]
+        assert top.generators == hull.generators, G.edges
+        assert top.reduced_groebner() == hull.reduced_groebner()
+        assert top == hull
+        cuts = _connected_cuts(G)
+        assert minimal_generator_count(top, (1,) * G.vertex_count) == len(cuts)
+
+
+def test_connected_cut_counts():
+    # a tree's connected cuts are its edges, a cycle's the pairs of its
+    # edges, and every vertex set of a complete graph is one
+    for n in range(2, 9):
+        assert len(_connected_cuts(path_graph(n))) == n - 1
+        assert len(_connected_cuts(complete_graph(n))) == 2 ** (n - 1) - 1
+        if n > 2:
+            cycle = WeightedGraph(n, [(v, (v + 1) % n, 1) for v in range(n)])
+            assert len(_connected_cuts(cycle)) == n * (n - 1) // 2
+
+
+def test_weighted_k8_toppling_ideal_within_budget():
+    G = WeightedGraph(8, [(i, j, 1 + (i + 2 * j) % 3) for i in range(8) for j in range(i + 1, 8)])
+    start = time.perf_counter()
+    top = toppling_ideal(G)
+    assert len(top.generators) == 127
+    assert affine_degree(top) == (1, spanning_tree_count(G))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"weighted K_8 took {elapsed:.2f}s, budget 10s"
+
+
+def test_toppling_ideal_is_its_own_saturation():
+    top = toppling_ideal(demo_graph())
+    assert saturate_variables(top) is top
+    assert is_lattice_ideal(top)
+
+
+def test_toppling_ideal_single_vertex_rejected():
+    # the same error as the saturation of the Laplacian matrix ideal
+    G = WeightedGraph(1, [])
+    with pytest.raises(PreconditionError, match="^column 1 is zero; no binomial$"):
+        toppling_ideal(G)
+    with pytest.raises(PreconditionError, match="^column 1 is zero; no binomial$"):
+        saturate_variables(matrix_ideal(laplacian(G)))
+
+
+def test_toppling_ideal_of_large_sparse_graphs():
+    # the cuts are listed without going over all 2^(s-1) vertex sets, so
+    # sparse graphs of any size stay cheap
+    rng = random.Random(17)
+    path17 = WeightedGraph(17, [(v, v + 1, 1 + v % 3) for v in range(16)])
+    # unit weights: the saturation of a weighted 17-vertex tree can take 10 s
+    tree17 = WeightedGraph(17, [(rng.randrange(v), v, 1) for v in range(1, 17)])
+    for G in (path17, tree17):
+        top, want = toppling_ideal(G), saturate_variables(matrix_ideal(laplacian(G)))
+        assert top.generators == want.generators, G.edges
+        assert top.reduced_groebner() == want.reduced_groebner()
+    tree40 = WeightedGraph(40, [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, 40)])
+    start = time.perf_counter()
+    top = toppling_ideal(tree40)
+    assert len(_connected_cuts(tree40)) == 39
+    assert minimal_generator_count(top, (1,) * 40) == 39
+    assert affine_degree(top) == (1, spanning_tree_count(tree40))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"weighted 40-vertex tree took {elapsed:.2f}s, budget 10s"

@@ -31,6 +31,7 @@ from exampledata import (
     WEIGHTED_DEMO_HULL_PAIRS,
     WEIGHTED_DEMO_LAPLACIAN,
     binomials,
+    toppling_pool,
 )
 from optimized import run_optimized
 
@@ -842,26 +843,10 @@ def test_colon_saturation_matches_tag_variable_oracle():
     assert powers.count(0) >= 50 and len(set(powers)) >= 3 and partial >= 100
 
 
-def _toppling_colon_graphs():
-    """The (vertex count, weighted edges) of the colon jobs in the seed-1
-    pool of the benchmark's toppling workload."""
-    import sys
-    from pathlib import Path
-
-    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(bench)
-    jobs = workloads.toppling_jobs(random.Random(1), workloads.TOPPLING_CYCLES)
-    return [job.data for job in jobs if job.kind == "colon"]
-
-
 def test_colon_saturation_matches_tag_variable_oracle_toppling_inputs():
     from latkit import WeightedGraph, laplacian
 
-    graphs = _toppling_colon_graphs()
+    graphs = [data for kind, data in toppling_pool() if kind == "colon"]
     assert len(graphs) == 20
     for n, edges in graphs:
         ideal = matrix_ideal(laplacian(WeightedGraph(n, edges)))
