@@ -35,6 +35,7 @@ from .exactmat import (
     determinant,
     hermite_rows,
     integer_kernel,
+    invariant_factors,
     minor_gcd,
     rank,
     smith_normal_form,

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactmat import smith_normal_form
-from .lattice import Lattice, critical_group, grading_vector, p_saturation, torsion_order
+from .lattice import Lattice, p_saturation, torsion_order
 
 __all__ = [
     "CharacterComponent",
@@ -77,8 +77,9 @@ def _snf_character_data(lat: Lattice):
             f"lattice rank is {lat.rank}, need {s - 1} for a dimension-1 decomposition"
         )
     dec = smith_normal_form(lat.generator_matrix())
-    gammas = tuple(g for g in dec.gamma if g != 0)
-    assert len(gammas) == s - 1
+    gammas = dec.gamma
+    if len(gammas) != s - 1:
+        raise InternalError(f"rank {s - 1} lattice has {len(gammas)} invariant factors")
     rows = tuple(dec.P.row(k) for k in range(s - 1))
     last = dec.P.row(s - 1)
     if all(x > 0 for x in last):
@@ -87,8 +88,10 @@ def _snf_character_data(lat: Lattice):
         d = tuple(-x for x in last)
     else:
         raise PreconditionError("lattice admits no positive grading")
-    check = grading_vector(lat.generator_matrix())
-    assert check == d, "grading must match the last transform row up to sign"
+    # with rank s - 1 a positive primitive d orthogonal to the lattice
+    # is the unique grading vector
+    if gcd(*d) != 1 or any(sum(x * y for x, y in zip(d, g)) for g in lat.generators):
+        raise InternalError(f"last transform row {d} is not a primitive grading of the lattice")
     return gammas, rows, d
 
 
@@ -105,7 +108,6 @@ def symbolic_decomposition(lat: Lattice):
         )
         for res in product(*(range(g) for g in gammas))
     ]
-    assert len(comps) == critical_group(lat).order
     assert len(set(comps)) == len(comps)
     assert sum(1 for c in comps if c.is_toric) == 1
     return comps

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import PreconditionError
-from .exactmat import IntMatrix, _signed_minors, minor_gcd, smith_normal_form
+from .exactmat import IntMatrix, _signed_minors, invariant_factors, minor_gcd
 from .ideal import matrix_ideal, vanishing_condition
 from .lattice import Lattice, defining_matrix, grading_vector, torsion_order
 from .volume import normalized_volume
@@ -32,7 +32,7 @@ __all__ = [
 def _column_torsion(mat: IntMatrix) -> int:
     """|T(Z^rows / column lattice)|: product of the invariant factors."""
     out = 1
-    for g in smith_normal_form(mat).gamma:
+    for g in invariant_factors(mat):
         out *= g
     return out
 
@@ -119,11 +119,7 @@ def degree_dim1_from_basis(basis) -> Dim1BasisResult:
         raise PreconditionError("basis is rank deficient")
     hi = max(max(minors), 0)
     lo = min(min(minors), 0)
-    degree = hi - lo
-    assert gcd(*minors) == torsion_order(Lattice(s, vectors)), (
-        "minor gcd is not the torsion order"
-    )
-    return Dim1BasisResult(tuple(minors), degree)
+    return Dim1BasisResult(tuple(minors), hi - lo)
 
 
 def degree_matrix_ideal(L: IntMatrix) -> int:

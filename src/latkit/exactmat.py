@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 
 __all__ = [
     "IntMatrix",
     "SnfDecomposition",
     "determinant",
     "smith_normal_form",
+    "invariant_factors",
     "hermite_rows",
     "minor_gcd",
     "adjoint",
@@ -144,10 +145,9 @@ def determinant(mat: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Unimodular P, Q with P*L*Q diagonal, plus invariant factors.
-
-    gamma lists the positive diagonal entries gamma_1 | gamma_2 | ... in
-    divisibility order; rank == len(gamma).
+    """Unimodular P, Q with P*L*Q diagonal (None when not asked for),
+    and the invariant factors gamma_1 | gamma_2 | ..., the positive
+    diagonal entries in divisibility order; rank == len(gamma).
     """
 
     P: IntMatrix
@@ -162,118 +162,117 @@ class SnfDecomposition:
         return IntMatrix._trusted(d)
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _min_pivot(a, k, s, m):
+    """(i, j) of the first entry of least absolute value in rows
+    k..s-1, columns k..m-1 of a, row by row; None when all are zero."""
+    best, at = 0, None
+    for i in range(k, s):
+        row = a[i]
+        for j in range(k, m):
+            v = abs(row[j])
+            if v and (v < best or not best):
+                if v == 1:
+                    return i, j
+                best, at = v, (i, j)
+    return at
 
 
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_row(m, dst, src, c):
-    if c:
-        rd, rs = m[dst], m[src]
-        for j in range(len(rd)):
-            rd[j] += c * rs[j]
-
-
-def _addmul_col(m, dst, src, c):
-    if c:
-        for row in m:
-            row[dst] += c * row[src]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
-def smith_normal_form(mat: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with tracked unimodular transforms.
-
-    Pivot selection always takes the first entry of minimal absolute
-    value in the remaining submatrix, so the result is deterministic.
-    The identity P*mat*Q == diag(gamma) is verified exactly before
-    returning.
+def _diagonalize(a, s, m) -> tuple:
+    """Bring the top-left s x m block of the integer rows a, in place,
+    to diag(gamma_1, ..., gamma_r, 0, ...), gamma_1 | gamma_2 | ... all
+    positive, and return (gamma_1, ..., gamma_r). Each pivot is the
+    first entry of least absolute value left in the block; 2 x 2
+    gcd/lcm fixes then enforce the divisibility chain. Row operations
+    span the full width of a and column operations its full height, so
+    a bordered [[M, I_s], [I_m, 0]] ends as [[D, P], [Q, 0]] with
+    P*M*Q = D. Raises InternalError when a fix breaks Bezout or the
+    block does not end as such a diagonal.
     """
-    s, m = mat.rows, mat.cols
-    a = mat.to_rows()
-    p = IntMatrix.identity(s).to_rows()
-    q = IntMatrix.identity(m).to_rows()
-
-    def min_pivot(k):
-        best = None
-        for i in range(k, s):
-            for j in range(k, m):
-                v = a[i][j]
-                if v != 0 and (best is None or abs(v) < abs(best[0])):
-                    best = (v, i, j)
-        return best
-
     limit = min(s, m)
     k = 0
     while k < limit:
-        found = min_pivot(k)
+        found = _min_pivot(a, k, s, m)
         if found is None:
             break
-        _, i0, j0 = found
+        i0, j0 = found
         if i0 != k:
-            _swap_rows(a, k, i0)
-            _swap_rows(p, k, i0)
+            a[k], a[i0] = a[i0], a[k]
         if j0 != k:
-            _swap_cols(a, k, j0)
-            _swap_cols(q, k, j0)
+            for row in a:
+                row[k], row[j0] = row[j0], row[k]
         if a[k][k] < 0:
-            _negate_row(a, k)
-            _negate_row(p, k)
-        piv = a[k][k]
+            a[k] = [-x for x in a[k]]
+        top = a[k]
+        piv = top[k]
         dirty = False
         for i in range(k + 1, s):
-            if a[i][k]:
-                c = -(a[i][k] // piv)
-                _addmul_row(a, i, k, c)
-                _addmul_row(p, i, k, c)
-                if a[i][k]:
-                    dirty = True
+            c = a[i][k] // piv
+            if c:
+                a[i] = [x - c * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][k] != 0
+        # column ops change only the rows that are nonzero in column k
+        live = [row for row in a if row[k]]
         for j in range(k + 1, m):
-            if a[k][j]:
-                c = -(a[k][j] // piv)
-                _addmul_col(a, j, k, c)
-                _addmul_col(q, j, k, c)
-                if a[k][j]:
-                    dirty = True
-        if dirty:
-            continue  # smaller remainders appeared; reselect pivot
-        k += 1
+            c = top[j] // piv
+            if c:
+                for row in live:
+                    row[j] -= c * row[k]
+                dirty = dirty or top[j] != 0
+        if not dirty:
+            k += 1  # else smaller remainders appeared: reselect the pivot
 
-    r = k
-    # enforce the divisibility chain with exact 2x2 unimodular fixes
-    for i in range(r):
-        for j in range(i + 1, r):
+    for i in range(k):
+        for j in range(i + 1, k):
             di, dj = a[i][i], a[j][j]
             if dj % di == 0:
                 continue
             g, x, y = _ext_gcd(di, dj)
+            if x * di + y * dj != g or di % g or dj % g:
+                raise InternalError(f"no Bezout pair for gcd({di}, {dj}) in the Smith elimination")
             bi, bj = di // g, dj // g
             # U = [[x, y], [-bj, bi]] on rows i,j; V = [[1, -y*bj], [1, x*bi]] on cols i,j
             _apply_2x2_rows(a, i, j, x, y, -bj, bi)
-            _apply_2x2_rows(p, i, j, x, y, -bj, bi)
             _apply_2x2_cols(a, i, j, 1, -y * bj, 1, x * bi)
-            _apply_2x2_cols(q, i, j, 1, -y * bj, 1, x * bi)
-            assert x * di + y * dj == g
-            assert a[i][i] == g and a[j][j] == di * dj // g
-            assert a[i][j] == 0 and a[j][i] == 0
 
-    gamma = tuple(a[i][i] for i in range(r))
-    pm, qm = IntMatrix._trusted(p), IntMatrix._trusted(q)
-    dec = SnfDecomposition(P=pm, Q=qm, gamma=gamma, rank=r)
+    gamma = tuple(a[i][i] for i in range(k))
+    if any(v for i in range(s) for j, v in enumerate(a[i][:m]) if i != j or i >= k):
+        raise InternalError("the Smith elimination left an entry off the diagonal")
+    if any(g <= 0 for g in gamma) or any(v % u for u, v in zip(gamma, gamma[1:])):
+        raise InternalError(f"Smith invariant factors {gamma} are not a positive divisibility chain")
+    return gamma
 
-    prod = pm * mat * qm
-    assert prod == dec.diagonal_matrix(s, m), "SNF identity violated"
-    assert abs(determinant(pm)) == 1 and abs(determinant(qm)) == 1
-    for u, v in zip(gamma, gamma[1:]):
-        assert v % u == 0
-    return dec
+
+def invariant_factors(rows) -> tuple:
+    """smith_normal_form(..., transforms=False).gamma of the matrix with
+    these rows (no rows, or rows of length 0, give ()): its rank is
+    len(gamma), Z^s / (column span) has torsion Z/gamma_1 + ... +
+    Z/gamma_r, and its transpose has the same invariant factors."""
+    if not isinstance(rows, IntMatrix):
+        rows = [tuple(r) for r in rows]
+        if not any(rows):
+            return ()
+        rows = IntMatrix(rows)
+    return smith_normal_form(rows, transforms=False).gamma
+
+
+def smith_normal_form(mat: IntMatrix, transforms: bool = True) -> SnfDecomposition:
+    """Smith normal form with unimodular transforms: P*mat*Q == D.
+
+    One elimination of the bordered matrix [[mat, I_s], [I_m, 0]]:
+    the row operations build P in its top-right block and the column
+    operations Q in its bottom-left block. transforms=False eliminates
+    mat alone, with the same pivots, and leaves P and Q None.
+    """
+    s, m = mat.rows, mat.cols
+    if not transforms:
+        gamma = _diagonalize(mat.to_rows(), s, m)
+        return SnfDecomposition(P=None, Q=None, gamma=gamma, rank=len(gamma))
+    a = [list(row) + [int(i == t) for t in range(s)] for i, row in enumerate(mat)]
+    a += [[int(i == t) for t in range(m)] + [0] * s for i in range(m)]
+    gamma = _diagonalize(a, s, m)
+    P = IntMatrix._trusted(row[m:] for row in a[:s])
+    Q = IntMatrix._trusted(row[:m] for row in a[s:])
+    return SnfDecomposition(P=P, Q=Q, gamma=gamma, rank=len(gamma))
 
 
 def _ext_gcd(a, b):
@@ -341,11 +340,11 @@ def minor_gcd(mat: IntMatrix, i: int) -> int:
     """gcd of all i x i minors; 0 when every such minor vanishes."""
     if i < 1 or i > min(mat.rows, mat.cols):
         raise PreconditionError(f"minor size {i} out of range")
-    dec = smith_normal_form(mat)
-    if i > dec.rank:
+    gamma = invariant_factors(mat)
+    if i > len(gamma):
         return 0
     out = 1
-    for g in dec.gamma[:i]:
+    for g in gamma[:i]:
         out *= g
     return out
 

@@ -12,6 +12,7 @@ from .exactmat import (
     _signed_minors,
     hermite_rows,
     integer_kernel,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -128,8 +129,9 @@ def critical_group(lat: Lattice) -> FiniteAbelianGroup:
     """Torsion subgroup of Z^s / lat in invariant-factor form."""
     if not lat.generators:
         return FiniteAbelianGroup(())
-    dec = smith_normal_form(lat.generator_matrix())
-    return FiniteAbelianGroup(tuple(g for g in dec.gamma if g > 1))
+    # the generators as rows: generator_matrix() transposed, same factors
+    gamma = invariant_factors(IntMatrix._trusted(lat.generators))
+    return FiniteAbelianGroup(tuple(g for g in gamma if g > 1))
 
 
 def torsion_order(lat: Lattice) -> int:

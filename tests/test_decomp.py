@@ -5,11 +5,17 @@ from math import gcd, lcm, prod
 
 import pytest
 
+import latkit.decomp
 from latkit import (
+    IntMatrix,
+    InternalError,
     Lattice,
     PreconditionError,
+    SnfDecomposition,
     component_count,
+    critical_group,
     degree_graded_dim1,
+    grading_vector,
     rational_orbit_report,
     symbolic_decomposition,
 )
@@ -77,6 +83,56 @@ def test_decomposition_preconditions():
         symbolic_decomposition(Lattice(3, [(1, -1, 0)]))  # not corank 1
     with pytest.raises(PreconditionError, match="grading"):
         symbolic_decomposition(Lattice(3, list(AFFINE_CURVE_GENERATORS)))
+
+
+def _graded_corank1_lattices():
+    """The examples and seeded lattices of rank s - 1 spanned by integer
+    combinations of d_j e_i - d_i e_j for a positive primitive d, with
+    torsion order at most 2000."""
+    rng = random.Random(808)
+    out = [Lattice(3, list(TORSION2_GENERATORS)), column_lattice(WEIGHTED_DEMO_LAPLACIAN),
+           Lattice(2, [(5, -3)]), _chain_lattice((2, 6, 12), (3, 1, 2))]
+    while len(out) < 120:
+        s = rng.randint(2, 5)
+        d = [rng.randint(1, 4) for _ in range(s)]
+        d = [x // gcd(*d) for x in d]
+        pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
+        gens = []
+        for _ in range(rng.randint(s - 1, s + 1)):
+            v = [0] * s
+            for i, j in rng.sample(pairs, min(len(pairs), 2)):
+                c = rng.randint(-2, 2)
+                v[i] += c * d[j]
+                v[j] -= c * d[i]
+            gens.append(v)
+        lat = Lattice(s, gens)
+        if lat.rank == s - 1 and critical_group(lat).order <= 2000:
+            out.append(lat)
+    return out
+
+
+def test_decomposition_has_one_component_per_torsion_element():
+    # checks symbolic_decomposition leaves to the tests: one component
+    # per element of the critical group, and the grading it reads off P
+    # is the grading vector
+    for lat in _graded_corank1_lattices():
+        comps = symbolic_decomposition(lat)
+        assert len(comps) == critical_group(lat).order
+        assert comps[0].grading == grading_vector(lat.generator_matrix())
+
+
+def test_a_transform_row_that_is_no_grading_raises(monkeypatch):
+    real = latkit.decomp.smith_normal_form
+
+    def doubled_last_row(mat):
+        dec = real(mat)
+        rows = dec.P.to_rows()
+        rows[-1] = [2 * x for x in rows[-1]]
+        return SnfDecomposition(IntMatrix(rows), dec.Q, dec.gamma, dec.rank)
+
+    monkeypatch.setattr(latkit.decomp, "smith_normal_form", doubled_last_row)
+    with pytest.raises(InternalError, match="primitive grading"):
+        symbolic_decomposition(Lattice(3, list(TORSION2_GENERATORS)))
 
 
 def test_component_count_by_characteristic():

@@ -18,6 +18,7 @@ from latkit import (
     degree_toric,
     saturate_variables,
     smith_normal_form,
+    torsion_order,
 )
 
 from exampledata import (
@@ -80,6 +81,26 @@ def test_curve_basis_minors():
     assert res.degree == AFFINE_CURVE_DEGREE
     assert degree_lattice(Lattice(3, list(AFFINE_CURVE_GENERATORS))) == 6
     assert degree_dim1_from_basis([(1, -1)]).minors == (1, 1)
+
+
+def test_basis_minor_gcd_is_the_torsion_order():
+    # gcd of the maximal minors of a rank s-1 basis is the order of the
+    # torsion of Z^s / lattice; degree_dim1_from_basis does not check it
+    rng = random.Random(2323)
+    bases = [list(AFFINE_CURVE_GENERATORS), list(TORSION2_GENERATORS), [(1, -1)]]
+    while len(bases) < 200:
+        s = rng.randint(2, 7)
+        bases.append([tuple(rng.randint(-5, 5) for _ in range(s)) for _ in range(s - 1)])
+    checked = 0
+    for basis in bases:
+        s = len(basis[0])
+        try:
+            res = degree_dim1_from_basis(basis)
+        except PreconditionError:
+            continue  # rank deficient
+        assert gcd(*res.minors) == torsion_order(Lattice(s, basis)), basis
+        checked += 1
+    assert checked >= 150
 
 
 def test_graded_dim1_degrees():

@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 from latkit import (
     IntMatrix,
     PreconditionError,
+    SnfDecomposition,
+    WeightedGraph,
     adjoint,
     determinant,
     hermite_rows,
     integer_kernel,
+    invariant_factors,
+    laplacian,
     minor_gcd,
     rank,
+    sandpile_group,
     smith_normal_form,
+    spanning_tree_count,
 )
+from latkit.exactmat import _apply_2x2_cols, _apply_2x2_rows, _ext_gcd
+
+from exampledata import complete_graph
+from optimized import run_optimized
 
 
 def test_matrix_construction_and_access():
@@ -122,9 +132,9 @@ def test_snf_properties_random():
     # P * M * Q equals the diagonal form, P and Q unimodular, invariant
     # factors divide in sequence and match the minor-gcd quotients
     rng = random.Random(1201)
-    for _ in range(120):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
+    for _ in range(240):
+        r = rng.randint(1, 8)
+        c = rng.randint(1, 8)
         m = _random_matrix(rng, r, c)
         snf = smith_normal_form(m)
         assert _is_unimodular(snf.P) and _is_unimodular(snf.Q)
@@ -318,3 +328,220 @@ def test_row_rank_of_empty_shapes():
     assert _row_rank([]) == 0
     assert _row_rank([[], [], []]) == 0
     assert _row_rank([[0, 0, 0]]) == 0
+
+
+# The transform-tracking Smith form that latkit ran before its bordered
+# elimination, kept as the oracle: P, Q and gamma must match it exactly.
+# It checks P*mat*Q == D and both determinants itself.
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
+
+
+def _swap_cols(m, i, j):
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def _addmul_row(m, dst, src, c):
+    if c:
+        rd, rs = m[dst], m[src]
+        for j in range(len(rd)):
+            rd[j] += c * rs[j]
+
+
+def _addmul_col(m, dst, src, c):
+    if c:
+        for row in m:
+            row[dst] += c * row[src]
+
+
+def _negate_row(m, i):
+    m[i] = [-x for x in m[i]]
+
+
+def _tracked_smith_normal_form(mat: IntMatrix) -> SnfDecomposition:
+    """Smith normal form with tracked unimodular transforms.
+
+    Pivot selection always takes the first entry of minimal absolute
+    value in the remaining submatrix, so the result is deterministic.
+    The identity P*mat*Q == diag(gamma) is verified exactly before
+    returning.
+    """
+    s, m = mat.rows, mat.cols
+    a = mat.to_rows()
+    p = IntMatrix.identity(s).to_rows()
+    q = IntMatrix.identity(m).to_rows()
+
+    def min_pivot(k):
+        best = None
+        for i in range(k, s):
+            for j in range(k, m):
+                v = a[i][j]
+                if v != 0 and (best is None or abs(v) < abs(best[0])):
+                    best = (v, i, j)
+        return best
+
+    limit = min(s, m)
+    k = 0
+    while k < limit:
+        found = min_pivot(k)
+        if found is None:
+            break
+        _, i0, j0 = found
+        if i0 != k:
+            _swap_rows(a, k, i0)
+            _swap_rows(p, k, i0)
+        if j0 != k:
+            _swap_cols(a, k, j0)
+            _swap_cols(q, k, j0)
+        if a[k][k] < 0:
+            _negate_row(a, k)
+            _negate_row(p, k)
+        piv = a[k][k]
+        dirty = False
+        for i in range(k + 1, s):
+            if a[i][k]:
+                c = -(a[i][k] // piv)
+                _addmul_row(a, i, k, c)
+                _addmul_row(p, i, k, c)
+                if a[i][k]:
+                    dirty = True
+        for j in range(k + 1, m):
+            if a[k][j]:
+                c = -(a[k][j] // piv)
+                _addmul_col(a, j, k, c)
+                _addmul_col(q, j, k, c)
+                if a[k][j]:
+                    dirty = True
+        if dirty:
+            continue  # smaller remainders appeared; reselect pivot
+        k += 1
+
+    r = k
+    # enforce the divisibility chain with exact 2x2 unimodular fixes
+    for i in range(r):
+        for j in range(i + 1, r):
+            di, dj = a[i][i], a[j][j]
+            if dj % di == 0:
+                continue
+            g, x, y = _ext_gcd(di, dj)
+            bi, bj = di // g, dj // g
+            # U = [[x, y], [-bj, bi]] on rows i,j; V = [[1, -y*bj], [1, x*bi]] on cols i,j
+            _apply_2x2_rows(a, i, j, x, y, -bj, bi)
+            _apply_2x2_rows(p, i, j, x, y, -bj, bi)
+            _apply_2x2_cols(a, i, j, 1, -y * bj, 1, x * bi)
+            _apply_2x2_cols(q, i, j, 1, -y * bj, 1, x * bi)
+            assert x * di + y * dj == g
+            assert a[i][i] == g and a[j][j] == di * dj // g
+            assert a[i][j] == 0 and a[j][i] == 0
+
+    gamma = tuple(a[i][i] for i in range(r))
+    pm, qm = IntMatrix._trusted(p), IntMatrix._trusted(q)
+    dec = SnfDecomposition(P=pm, Q=qm, gamma=gamma, rank=r)
+
+    prod = pm * mat * qm
+    assert prod == dec.diagonal_matrix(s, m), "SNF identity violated"
+    assert abs(determinant(pm)) == 1 and abs(determinant(qm)) == 1
+    for u, v in zip(gamma, gamma[1:]):
+        assert v % u == 0
+    return dec
+
+
+def _oracle_matrix(rng):
+    """rows x cols, 1..8 each: random entries, or a planted rank k
+    (rows integer combinations of k random rows), then zero rows and
+    zero columns at random."""
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    if rng.random() < 0.5:
+        out = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = rng.randint(0, min(rows, cols))
+        basis = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(k)]
+        out = [
+            [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols)]
+            for coeffs in ([rng.randint(-3, 3) for _ in range(k)] for _ in range(rows))
+        ]
+    dead_cols = {j for j in range(cols) if rng.random() < 0.12}
+    return IntMatrix([
+        [0] * cols if rng.random() < 0.12 else [0 if j in dead_cols else x for j, x in enumerate(row)]
+        for row in out
+    ])
+
+
+def test_bordered_smith_form_and_invariant_factors_match_the_oracle():
+    rng = random.Random(1414)
+    deficient = zero_rows = zero_cols = 0
+    for _ in range(640):
+        m = _oracle_matrix(rng)
+        want = _tracked_smith_normal_form(m)
+        assert smith_normal_form(m) == want, m.to_rows()
+        assert invariant_factors(m) == invariant_factors(m.to_rows()) == want.gamma
+        assert smith_normal_form(m, transforms=False) == SnfDecomposition(None, None, want.gamma, want.rank)
+        assert invariant_factors(m.transpose()) == want.gamma
+        deficient += want.rank < min(m.rows, m.cols)
+        zero_rows += any(not any(r) for r in m)
+        zero_cols += any(not any(m.column(j)) for j in range(m.cols))
+    assert deficient >= 200 and zero_rows >= 100 and zero_cols >= 100
+
+
+def _connected_graph(rng, n):
+    """Vertex v joins rng.randrange(v), then up to n chords; weights 1-3."""
+    edges = {}
+    for v in range(1, n):
+        edges[rng.randrange(v), v] = rng.randint(1, 3)
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges[u, v] = rng.randint(1, 3)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def test_laplacian_invariant_factors_match_the_oracle_up_to_n_40():
+    rng = random.Random(4040)
+    sizes = list(range(2, 13)) + [16, 20, 24, 28, 32, 36, 40, 40]
+    for n in sizes:
+        for G in (_connected_graph(rng, n), complete_graph(n, rng.randint(1, 3))):
+            L = laplacian(G)
+            want = _tracked_smith_normal_form(L)
+            assert smith_normal_form(L) == want
+            gamma = invariant_factors(L)
+            assert gamma == want.gamma and len(gamma) == n - 1
+            assert sandpile_group(G).order == spanning_tree_count(G)
+
+
+def test_invariant_factors_of_empty_ragged_and_non_int_rows():
+    assert invariant_factors([]) == ()
+    assert invariant_factors([[], []]) == ()
+    assert invariant_factors([[0, 0], [0, 0]]) == ()
+    assert invariant_factors([[4, 0], [0, 6]]) == (2, 12)
+    with pytest.raises(ValueError):
+        invariant_factors([[1, 2], [3]])
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(TypeError):
+            invariant_factors([[1, 0], [0, bad]])
+
+
+def test_smith_checks_fire_under_python_O():
+    # plant a 2 x 2 fix with a wrong Bezout pair, one that loses its
+    # column half, and one that does nothing: each check must raise
+    # InternalError with asserts stripped
+    code = """
+import latkit.exactmat as e
+from latkit import InternalError
+good = e._ext_gcd, e._apply_2x2_rows, e._apply_2x2_cols
+skip = lambda *args: None
+for plant in [{"_ext_gcd": lambda a, b: (1, 1, 0)}, {"_apply_2x2_cols": skip},
+              {"_apply_2x2_rows": skip, "_apply_2x2_cols": skip}]:
+    for name, broken in plant.items():
+        setattr(e, name, broken)
+    for call in (lambda: e.invariant_factors([[2, 0], [0, 3]]),
+                 lambda: e.smith_normal_form(e.IntMatrix([[2, 0], [0, 3]]))):
+        try:
+            print("no error", call())
+        except InternalError as err:
+            print(str(err).split(" ")[-1])
+    e._ext_gcd, e._apply_2x2_rows, e._apply_2x2_cols = good
+print(e.invariant_factors([[2, 0], [0, 3]]))
+"""
+    assert run_optimized(code).split("\n") == [
+        "elimination", "elimination", "diagonal", "diagonal", "chain", "chain", "(1, 6)",
+    ]
