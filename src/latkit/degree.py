@@ -3,7 +3,8 @@
 Each routine implements an exact arithmetic formula (group orders,
 normalized volumes, gcds of minors); the Groebner-based
 `ideal.affine_degree` serves as the independent oracle in the test
-suite. Every division asserts exactness first.
+suite. Every division checks exactness first and raises InternalError
+when it fails.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactmat import IntMatrix, _signed_minors, invariant_factors, minor_gcd
 from .ideal import matrix_ideal, vanishing_condition
 from .lattice import Lattice, defining_matrix, grading_vector, torsion_order
@@ -44,7 +45,8 @@ def degree_toric(V: IntMatrix) -> int:
     points = [(0,) * V.rows] + [V.column(j) for j in range(V.cols)]
     vol = normalized_volume(points)
     tor = _column_torsion(V)
-    assert vol % tor == 0, "volume not divisible by column torsion"
+    if vol % tor:
+        raise InternalError(f"normalized volume {vol} is not divisible by the column torsion {tor}")
     return vol // tor
 
 
@@ -71,7 +73,8 @@ def degree_lattice_breakdown(lat: Lattice) -> DegreeBreakdown:
     points = [(0,) * A.rows] + [A.column(j) for j in range(A.cols)]
     vol = normalized_volume(points)
     dtor = _column_torsion(A)
-    assert (tor * vol) % dtor == 0, "defining torsion does not divide"
+    if (tor * vol) % dtor:
+        raise InternalError(f"defining torsion {dtor} does not divide {tor} * {vol}")
     return DegreeBreakdown(tor * vol // dtor, tor, vol, dtor)
 
 
@@ -93,7 +96,8 @@ def degree_graded_dim1(lat: Lattice, d) -> int:
         raise PreconditionError(f"rank {lat.rank}, expected {s - 1}")
     num = max(d) * torsion_order(lat)
     den = gcd(*d)
-    assert num % den == 0, "degree formula not integral"
+    if num % den:
+        raise InternalError(f"degree formula {num} / {den} is not integral")
     return num // den
 
 
@@ -131,7 +135,8 @@ def degree_matrix_ideal(L: IntMatrix) -> int:
     d = grading_vector(L)
     if d is None:
         raise PreconditionError("no positive grading for the columns")
-    assert gcd(*d) == 1  # grading_vector returns a primitive vector
+    if gcd(*d) != 1:
+        raise InternalError(f"grading vector {d} is not primitive")
     if not vanishing_condition(matrix_ideal(L)):
         raise PreconditionError("vanishing condition fails")
     return max(d) * minor_gcd(L, s - 1)

@@ -117,30 +117,55 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _echelon(a):
+    """Bring the integer rows a, in place, to row echelon form by
+    fraction-free (Bareiss) elimination with row pivoting, and return
+    (pivot columns, sign of the row permutation). No rows, or rows of
+    length 0, give ([], 1).
+
+    Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968. With the rows in
+    their swapped order, after k pivots entry (i, j) of a row not yet
+    pivoted is the (k + 1) x (k + 1) minor on the k pivot rows and row
+    i, the k pivot columns and column j, and prev is the k x k minor on
+    the pivot rows and columns. By Sylvester's identity each division
+    by prev is exact. Pivot r is the minor on rows 0..r and the first
+    r + 1 pivot columns; for a square matrix of full rank the last one
+    is sign * determinant.
+    """
+    height = len(a)
+    width = len(a[0]) if a else 0
+    pivots, sign, prev = [], 1, 1
+    r = 0
+    for col in range(width):
+        if r == height:
+            break
+        if not a[r][col]:
+            piv = next((i for i in range(r + 1, height) if a[i][col]), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for row in a[r + 1:]:
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+        r += 1
+    return pivots, sign
+
+
 def determinant(mat: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last pivot of one Bareiss elimination."""
     if not mat.is_square:
         raise PreconditionError("determinant requires a square matrix")
-    n = mat.rows
     a = mat.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _echelon(a)
+    return sign * a[-1][-1] if len(pivots) == mat.rows else 0
 
 
 @dataclass(frozen=True)
@@ -305,35 +330,13 @@ def _apply_2x2_cols(m, i, j, a11, a12, a21, a22):
 
 
 def rank(mat: IntMatrix) -> int:
-    return _row_rank(mat.to_rows())
+    return len(_echelon(mat.to_rows())[0])
 
 
 def _row_rank(rows) -> int:
-    """Rank of integer rows by fraction-free (Bareiss) elimination with
-    row pivoting; no rows, or rows of length 0, give 0. After k pivots
-    every entry of a row not yet pivoted is a (k + 1) x (k + 1) minor,
-    so each division by the previous pivot is exact."""
-    a = [list(r) for r in rows]
-    width = len(a[0]) if a else 0
-    r = 0
-    prev = 1
-    for col in range(width):
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        p = top[col]
-        for row in a[r + 1:]:
-            f = row[col]
-            for j in range(col + 1, width):
-                row[j] = (row[j] * p - f * top[j]) // prev
-            row[col] = 0
-        prev = p
-        r += 1
-        if r == len(a):
-            break
-    return r
+    """Rank of integer rows, the pivot count of their Bareiss
+    elimination; no rows, or rows of length 0, give 0."""
+    return len(_echelon([list(r) for r in rows])[0])
 
 
 def minor_gcd(mat: IntMatrix, i: int) -> int:
@@ -350,24 +353,19 @@ def minor_gcd(mat: IntMatrix, i: int) -> int:
 
 
 def adjoint(mat: IntMatrix) -> IntMatrix:
-    """Adjugate: mat * adjoint(mat) == determinant(mat) * identity."""
+    """Adjugate: mat * adjoint(mat) == determinant(mat) * identity.
+
+    Column j is (-1)^(n-1+j) times the signed maximal minors of the rows
+    other than row j: n eliminations, not n^2 cofactor determinants."""
     if not mat.is_square:
         raise PreconditionError("adjoint requires a square matrix")
     n = mat.rows
-    if n == 1:
-        return IntMatrix([[1]])
     rows = mat.to_rows()
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            out[i][j] = sign * determinant(IntMatrix(sub))
-    return IntMatrix(out)
+    cols = []
+    for j in range(n):
+        w = _signed_minors(rows[:j] + rows[j + 1:], n)
+        cols.append([-x for x in w] if (n - 1 + j) % 2 else w)
+    return IntMatrix._trusted(zip(*cols))
 
 
 def _signed_minors(rows, n) -> tuple:
@@ -377,41 +375,23 @@ def _signed_minors(rows, n) -> tuple:
     orthogonal to every row and zero exactly when the rows are
     dependent; n = 1 (no rows) gives (1,).
 
-    One fraction-free (Bareiss) elimination, O(n^3): it brings the rows
-    to echelon form with n - 1 pivot columns and one free column c, or
-    finds them dependent. The last pivot is +-det(B), B the rows without
-    column c, so with w_c set to it the integer kernel vector w follows
-    by back substitution, each division exact because w is +-the normal.
+    One Bareiss elimination, O(n^3), brings the rows to echelon form
+    with n - 1 pivot columns and one free column c, or finds them
+    dependent. The last pivot is +-det(B), B the rows without column c,
+    so with w_c set to it the integer kernel vector w follows by back
+    substitution, each division exact because w is +-the normal.
     """
     a = [list(r) for r in rows]
     if len(a) != n - 1 or any(len(r) != n for r in a):
         raise PreconditionError(f"need {n - 1} rows of length {n}")
     if n == 1:
         return (1,)
-    sign, prev, r = 1, 1, 0
-    pivots, free = [], None
-    for col in range(n):
-        piv = next((i for i in range(r, n - 1) if a[i][col]), None)
-        if piv is None:
-            if free is not None:
-                return (0,) * n  # two columns without a pivot: rank < n - 1
-            free = col
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        top = a[r]
-        p = top[col]
-        for row in a[r + 1:]:
-            f = row[col]
-            for j in range(col + 1, n):
-                row[j] = (row[j] * p - f * top[j]) // prev
-            row[col] = 0
-        prev = p
-        pivots.append(col)
-        r += 1
+    pivots, sign = _echelon(a)
+    if len(pivots) < n - 1:
+        return (0,) * n
+    free = next(c for c in range(n) if c not in pivots)
     w = [0] * n
-    w[free] = prev
+    w[free] = a[-1][pivots[-1]]
     for k in range(n - 2, -1, -1):
         row, p = a[k], pivots[k]
         w[p] = -sum(row[j] * w[j] for j in range(p + 1, n)) // row[p]

@@ -125,7 +125,8 @@ def laplacian(G: WeightedGraph) -> IntMatrix:
         a[j][i] -= w
         a[i][i] += w
         a[j][j] += w
-    return IntMatrix(a)
+    # WeightedGraph already made every weight an int
+    return IntMatrix._trusted(a)
 
 
 def laplacian_digraph(G: WeightedDigraph) -> IntMatrix:
@@ -137,7 +138,8 @@ def laplacian_digraph(G: WeightedDigraph) -> IntMatrix:
             continue
         a[i][j] -= w
         a[i][i] += w
-    return IntMatrix(a)
+    # WeightedDigraph already made every weight an int
+    return IntMatrix._trusted(a)
 
 
 def _column_lattice(mat: IntMatrix) -> Lattice:

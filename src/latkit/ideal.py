@@ -726,7 +726,7 @@ def _minimalize(gens):
     return tuple(out)
 
 
-def _hilbert_numerator(gens, memo):
+def _hilbert_numerator(gens):
     """Numerator N of the Hilbert series N / (1 - t)^n of S/(gens), for
     exponent vectors gens of monomials in n variables, as a dict degree
     -> nonzero coefficient; the unit ideal gives {}.
@@ -738,8 +738,7 @@ def _hilbert_numerator(gens, memo):
     exponents among the generators holding it that are not pure powers
     of x_i. When no variable is in two generators, their supports are
     disjoint and N = prod (1 - t^deg g). The recursion runs on an
-    explicit stack; memo maps minimal generator tuples (in lexicographic
-    order) to numerators.
+    explicit stack.
     """
     values = []
     stack = [(_minimalize(gens), 0)]
@@ -748,41 +747,37 @@ def _hilbert_numerator(gens, memo):
         if e:
             # both children are done: the colon's numerator is on top
             colon = values.pop()
-            out = memo[node] = _add_shifted(values.pop(), colon, e, 1)
-            values.append(out)
+            values.append(_add_shifted(values.pop(), colon, e, 1))
             continue
-        out = memo.get(node)
-        if out is None:
-            counts = [len(node) - col.count(0) for col in zip(*node)]
-            top = max(counts, default=0)
-            if top >= 2:
-                i = counts.index(top)
-                exps = sorted(g[i] for g in node if 0 < g[i] < sum(g))
-                e = exps[len(exps) // 2]
-                # x_i^e is not in I: a pure power x_i^f among the minimal
-                # generators has f above every other exponent of x_i. So
-                # I + (x_i^e) is minimally generated by x_i^e and the
-                # generators with fewer than e factors x_i.
-                plus = [g for g in node if g[i] < e]
-                bisect.insort(plus, tuple(e if j == i else 0 for j in range(len(counts))))
-                # the generators of I : x_i^e that keep some x_i form an
-                # antichain; only those without x_i can divide another
-                low, high = [], []
-                for g in node:
-                    if g[i] <= e:
-                        low.append(g[:i] + (0,) + g[i + 1:])
-                    else:
-                        high.append(g[:i] + (g[i] - e,) + g[i + 1:])
-                low = _minimalize(low)
-                high = [h for h in high if not any(_divides(l, h) for l in low)]
-                stack.append((node, e))
-                stack.append((tuple(sorted(low + tuple(high))), 0))
-                stack.append((tuple(plus), 0))
-                continue
-            out = {0: 1}
+        counts = [len(node) - col.count(0) for col in zip(*node)]
+        top = max(counts, default=0)
+        if top >= 2:
+            i = counts.index(top)
+            exps = sorted(g[i] for g in node if 0 < g[i] < sum(g))
+            e = exps[len(exps) // 2]
+            # x_i^e is not in I: a pure power x_i^f among the minimal
+            # generators has f above every other exponent of x_i. So
+            # I + (x_i^e) is minimally generated by x_i^e and the
+            # generators with fewer than e factors x_i.
+            plus = [g for g in node if g[i] < e]
+            bisect.insort(plus, tuple(e if j == i else 0 for j in range(len(counts))))
+            # the generators of I : x_i^e that keep some x_i form an
+            # antichain; only those without x_i can divide another
+            low, high = [], []
             for g in node:
-                out = _add_shifted(out, out, sum(g), -1)
-            memo[node] = out
+                if g[i] <= e:
+                    low.append(g[:i] + (0,) + g[i + 1:])
+                else:
+                    high.append(g[:i] + (g[i] - e,) + g[i + 1:])
+            low = _minimalize(low)
+            high = [h for h in high if not any(_divides(l, h) for l in low)]
+            stack.append((None, e))
+            stack.append((tuple(sorted(low + tuple(high))), 0))
+            stack.append((tuple(plus), 0))
+            continue
+        out = {0: 1}
+        for g in node:
+            out = _add_shifted(out, out, sum(g), -1)
         values.append(out)
     return values.pop()
 
@@ -805,7 +800,7 @@ def affine_degree(ideal: BinomialIdeal):
     if _is_unit_basis(basis):
         raise PreconditionError("unit ideal has no degree")
     leads = tuple(lead for lead, _ in basis)
-    num = _hilbert_numerator(leads, {})
+    num = _hilbert_numerator(leads)
     # divide by (1 - t) while the numerator vanishes at t = 1
     cancels = 0
     while num and sum(num.values()) == 0:

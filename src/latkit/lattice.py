@@ -9,6 +9,7 @@ from math import gcd
 from .errors import InternalError, PreconditionError
 from .exactmat import (
     IntMatrix,
+    _row_rank,
     _signed_minors,
     hermite_rows,
     integer_kernel,
@@ -157,15 +158,13 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
     base = [list(r) for r in lat.basis()]
     r = len(base)
     full = [row[:] for row in base]
-    cur_rank = r
     for j in range(s):
-        if cur_rank == s:
+        if len(full) == s:
             break
         e = [0] * s
         e[j] = 1
-        if len(hermite_rows(full + [e], s)) > cur_rank:
+        if _row_rank(full + [e]) > len(full):
             full.append(e)
-            cur_rank += 1
     out = []
     for idx in range(r, s):
         w = _signed_minors([full[t] for t in range(s) if t != idx], s)
@@ -249,7 +248,8 @@ def positive_lattice_vector(basis, length):
         scale = scale * q.denominator // gcd(scale, q.denominator)
     zi = [int(q * scale) for q in z]
     vec = [sum(zi[i] * basis[i][j] for i in range(k)) for j in range(length)]
-    assert all(x > 0 for x in vec)
+    if not all(x > 0 for x in vec):
+        raise InternalError(f"back substitution gave {vec}, not a positive vector")
     g = gcd(*vec)
     return tuple(x // g for x in vec)
 
@@ -314,6 +314,7 @@ def p_saturation(lat: Lattice, p: int) -> Lattice:
             g //= p
             q *= p
         col = cols.column(i)
-        assert all(x % q == 0 for x in col), "p-part must divide its column"
+        if any(x % q for x in col):
+            raise InternalError(f"p-part {q} does not divide column {col}")
         gens.append(tuple(x // q for x in col))
     return Lattice(lat.ambient_dim, gens)

@@ -37,6 +37,7 @@ from exampledata import (
     WEIGHTED_DEMO_LAPLACIAN,
     column_lattice,
 )
+from optimized import run_optimized
 
 
 def test_rank4_z8_breakdown():
@@ -155,3 +156,47 @@ def test_graded_dim1_preconditions():
         degree_graded_dim1(lat, (1, 1, 1))  # not a grading for this lattice
     with pytest.raises(PreconditionError):
         degree_dim1_from_basis([(1, -1, 0), (2, -2, 0)])  # dependent rows
+
+
+def test_degree_and_lattice_checks_fire_under_python_O():
+    # plant a fault in front of each exactness check of degree.py and
+    # lattice.py: each must raise InternalError with asserts stripped
+    code = """
+import dataclasses
+from fractions import Fraction
+import latkit.degree as d
+import latkit.exactmat as e
+import latkit.lattice as l
+from latkit import IntMatrix, InternalError, Lattice
+
+def planted(module, name, broken, call):
+    good = getattr(module, name)
+    setattr(module, name, broken)
+    try:
+        print("no error", call())
+    except InternalError as err:
+        print(type(err).__name__, err)
+    finally:
+        setattr(module, name, good)
+
+curve = Lattice(3, [(2, -1, -1), (-3, 1, -1)])
+line = Lattice(2, [(1, -1)])
+snf_without_q = lambda m: dataclasses.replace(e.smith_normal_form(m), Q=IntMatrix.identity(m.cols))
+planted(d, "_column_torsion", lambda m: 3, lambda: d.degree_toric(IntMatrix.identity(2)))
+planted(d, "_column_torsion", lambda m: 1000003, lambda: d.degree_lattice_breakdown(curve))
+planted(d, "gcd", lambda *xs: 2, lambda: d.degree_graded_dim1(line, (1, 1)))
+planted(d, "grading_vector", lambda L: (2, 2), lambda: d.degree_matrix_ideal(IntMatrix([[1, -1], [-1, 1]])))
+planted(l, "Fraction", lambda *a: Fraction(0), lambda: l.positive_lattice_vector([(1, 0, 1), (0, 1, 1)], 3))
+planted(l, "smith_normal_form", snf_without_q, lambda: l.p_saturation(Lattice(2, [(2, 0), (1, 2)]), 2))
+print(d.degree_toric(IntMatrix.identity(2)), d.degree_lattice(curve), d.degree_graded_dim1(line, (1, 1)),
+      l.positive_lattice_vector([(1, 0, 1), (0, 1, 1)], 3), l.p_saturation(Lattice(2, [(2, 0), (1, 2)]), 2).rank)
+"""
+    assert run_optimized(code).split("\n") == [
+        "InternalError normalized volume 1 is not divisible by the column torsion 3",
+        "InternalError defining torsion 1000003 does not divide 1 * 6",
+        "InternalError degree formula 1 / 2 is not integral",
+        "InternalError grading vector (2, 2) is not primitive",
+        "InternalError back substitution gave [0, 0, 0], not a positive vector",
+        "InternalError p-part 4 does not divide column (1, 2)",
+        "1 6 1 (1, 1, 2) 2",
+    ]

@@ -291,6 +291,80 @@ def test_signed_minors_match_the_cofactor_loop_up_to_order_12():
     assert zero >= 50 and nonzero >= 150
 
 
+def _adjoint_by_cofactors(rows):
+    """Oracle: the former adjoint, n^2 cofactor determinants of order
+    n - 1; entry (i, j) deletes row j and column i."""
+    n = len(rows)
+    if n == 1:
+        return IntMatrix([[1]])
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            sign = -1 if (i + j) % 2 else 1
+            out[i][j] = sign * determinant(IntMatrix(sub))
+    return IntMatrix(out)
+
+
+def _random_gcb(rng, n):
+    """n x n GCB matrix: off-diagonal entries <= 0 on a cycle through
+    every vertex plus random arcs, and each row scaled so that a random
+    positive vector d lies in the kernel: row i is d_i times the
+    off-diagonal weights, with the diagonal -sum_{j != i} w_ij d_j."""
+    d = [rng.randint(1, 4) for _ in range(n)]
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        w[i][(i + 1) % n] = -rng.randint(1, 3)
+        for j in range(n):
+            if j != i and rng.random() < 0.3:
+                w[i][j] = -rng.randint(1, 3)
+    return [
+        [d[i] * w[i][j] if j != i else -sum(w[i][k] * d[k] for k in range(n) if k != i) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_adjoint_matches_the_cofactor_oracle():
+    from latkit.matclass import classify
+
+    rng = random.Random(7129)
+    seen = {"full": 0, "corank1": 0, "gcb": 0, "zero": 0}
+    for case in range(360):
+        n = case % 8 + 1
+        kind = rng.choice(("full", "corank1", "gcb", "low")) if n > 1 else "full"
+        if kind == "gcb":
+            rows = _random_gcb(rng, n)
+            assert classify(IntMatrix(rows)).generalized_critical, rows
+        elif kind == "full":
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        else:
+            # a product of n x k and k x n factors has rank at most k
+            k = n - 1 if kind == "corank1" else rng.randint(0, max(n - 2, 0))
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+        m = IntMatrix(rows)
+        adj = adjoint(m)
+        assert adj == _adjoint_by_cofactors(rows), rows
+        d = determinant(m)
+        assert (m * adj).to_rows() == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        r = rank(m)
+        if r == n:
+            seen["full"] += 1
+        elif r == n - 1:
+            seen["gcb" if kind == "gcb" else "corank1"] += 1
+            assert any(map(any, adj)), rows
+            # the cycle makes a GCB matrix strongly connected, so its
+            # adjugate is strictly positive
+            assert kind != "gcb" or all(x > 0 for row in adj for x in row), rows
+        else:
+            seen["zero"] += 1
+            assert not any(map(any, adj)), rows
+    assert min(seen.values()) >= 50, seen
+    with pytest.raises(PreconditionError):
+        adjoint(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
 def _planted_rank_matrix(rng):
     """rows x cols with rank at most k: each row an integer combination
     of k random rows, one in four of them zero, columns zeroed at random."""

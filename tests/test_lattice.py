@@ -163,6 +163,16 @@ def _kernel_defining_matrix(lat):
 
 
 def test_defining_matrix_matches_kernel_oracle():
+    examples = [
+        Lattice(8, list(RANK4_Z8_GENERATORS)),
+        Lattice(3, TORSION2_GENERATORS),
+        Lattice(3, AFFINE_CURVE_GENERATORS),
+        column_lattice(DENSE_PCB_4X4),
+        homogenize_lattice(Lattice(3, AFFINE_CURVE_GENERATORS)),
+        Lattice(5, [(0, 0, 2, 0, -2)]),
+    ]
+    for lat in examples:
+        assert list(defining_matrix(lat)) == _kernel_defining_matrix(lat), lat.generators
     rng = random.Random(4242)
     ranks = set()
     for case in range(600):
