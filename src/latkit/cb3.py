@@ -9,16 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._genpoly import poly_add, poly_mul, poly_sub
-from .errors import IterationLimitError, PreconditionError
-from .exactmat import IntMatrix, _ext_gcd, rank as matrix_rank
+from .errors import InternalError, IterationLimitError, PreconditionError
+from .exactmat import IntMatrix, _ext_gcd
 from .ideal import (
     Binomial,
-    BinomialIdeal,
     MonomialOrder,
     is_lattice_ideal,
     matrix_ideal,
     minimal_generator_count,
-    saturate_variables,
 )
 from .lattice import Lattice, grading_vector
 
@@ -55,14 +53,14 @@ class CriticalBinomialSet:
     permutation: tuple
 
     def __post_init__(self):
-        assert self.case in ("a", "b")
-        assert sorted(self.permutation) == [0, 1, 2]
+        if self.case not in ("a", "b") or sorted(self.permutation) != [0, 1, 2]:
+            raise InternalError(f"critical set of case {self.case!r}, permutation {self.permutation}")
         for i in range(3):
             a, tail = self.pure_exponents[i], self.tails[i]
-            assert a > 0 and tail[i] == 0
             pure = tuple(a if k == i else 0 for k in range(3))
             pair = {self.binomials[i].plus, self.binomials[i].minus}
-            assert pair == {pure, tail}
+            if a <= 0 or tail[i] != 0 or pair != {pure, tail}:
+                raise InternalError(f"critical binomial {i + 1} is not t_{i + 1}^{a} minus {tail}")
 
 
 def _graded_rank2(lat: Lattice):
@@ -92,7 +90,8 @@ def _critical_data(lat: Lattice, index: int, max_exponent: int):
         (row2[index] // g) * x - (row1[index] // g) * y
         for x, y in zip(row1, row2)
     )
-    assert any(w0), "rank-2 lattice must meet the coordinate hyperplane"
+    if not any(w0):
+        raise InternalError("a rank-2 lattice must meet the coordinate hyperplane")
     others = [c for c in range(3) if c != index]
     cmp = MonomialOrder.grevlex(3).compare
 
@@ -115,9 +114,8 @@ def _critical_data(lat: Lattice, index: int, max_exponent: int):
                 lo = bound if lo is None else max(lo, bound)
         if not feasible:
             continue
-        assert lo is not None and hi is not None, (
-            "grading forces opposite slice signs, so both bounds exist"
-        )
+        if lo is None or hi is None:
+            raise InternalError("a grading forces opposite slice signs, so both bounds exist")
         if lo > hi:
             continue
 
@@ -169,9 +167,6 @@ def cb_structure(lat: Lattice, max_exponent: int = DEFAULT_EXPONENT_CAP):
         ]
         M = IntMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
         case, perm = "b", (0, 1, 2)
-        assert all(sum(M.row(i)) == 0 for i in range(3)), (
-            "full-tail critical exponents must satisfy the bordering relations"
-        )
     else:
         # some critical binomial uses two variables: build the matrix
         # from it and the critical binomial of the remaining variable
@@ -198,12 +193,14 @@ def cb_structure(lat: Lattice, max_exponent: int = DEFAULT_EXPONENT_CAP):
         )
         case, perm = "a", (p, r, q)
 
-    assert all(M.entry(i, i) > 0 for i in range(3))
-    assert all(M.entry(i, j) <= 0 for i in range(3) for j in range(3) if i != j)
-    assert all(sum(M.row(i)) == 0 for i in range(3))
-    assert Lattice(3, [M.column(j) for j in range(3)]) == lat, (
-        "assembled matrix must generate the same column lattice"
-    )
+    if not (
+        all(M.entry(i, i) > 0 for i in range(3))
+        and all(M.entry(i, j) <= 0 for i in range(3) for j in range(3) if i != j)
+        and all(sum(M.row(i)) == 0 for i in range(3))
+    ):
+        raise InternalError(f"assembled matrix {M.to_rows()} breaks the CB signs or zero row sums")
+    if Lattice(3, [M.column(j) for j in range(3)]) != lat:
+        raise InternalError("the assembled matrix must generate the same column lattice")
 
     cbset = CriticalBinomialSet(
         binomials=binomials,
@@ -218,8 +215,9 @@ def cb_structure(lat: Lattice, max_exponent: int = DEFAULT_EXPONENT_CAP):
 def find_hull_gcb3(L: IntMatrix, max_exponent: int = DEFAULT_EXPONENT_CAP):
     """Matrix with zero row sums generating the column lattice of a
     3x3 matrix with a positive kernel, together with the hull of its
-    column ideal; the hull equals the matrix ideal of the new matrix,
-    cross-checked against direct saturation."""
+    column ideal. By the structure theorem the hull is the matrix ideal
+    of the new matrix, so no saturation runs; the tests compare it with
+    the saturation of the column ideal."""
     from .matclass import classify
 
     if L.rows != 3 or L.cols != 3:
@@ -227,14 +225,11 @@ def find_hull_gcb3(L: IntMatrix, max_exponent: int = DEFAULT_EXPONENT_CAP):
     rep = classify(L)
     if not rep.generalized_critical:
         raise PreconditionError("matrix is not GCB")
-    assert matrix_rank(L) == 2, "a 3x3 GCB matrix has rank 2"
     lat = Lattice(3, [L.column(j) for j in range(3)])
+    if lat.rank != 2:
+        raise InternalError(f"a 3x3 GCB matrix has rank 2, not {lat.rank}")
     _, M = cb_structure(lat, max_exponent)
-    hull = matrix_ideal(M)
-    direct = saturate_variables(matrix_ideal(L))
-    assert hull == direct, "assembled matrix ideal must equal the saturation"
-    assert Lattice(3, [M.column(j) for j in range(3)]) == lat
-    return M, hull
+    return M, matrix_ideal(M)
 
 
 @dataclass(frozen=True)
@@ -287,15 +282,18 @@ def cb_properties_check(L: IntMatrix) -> CbPropertiesReport:
         ),
         poly_mul(tmon(1, mag(1, 0)), fs[2]),
     )
-    assert not first and not second, "cyclic syzygies must expand to zero"
+    if first or second:
+        raise InternalError("the cyclic syzygies must expand to zero")
 
     I = matrix_ideal(L)
     d = rep.left_kernel_witness
-    assert d is not None, "zero-row-sum 3x3 matrices always admit a grading"
+    if d is None:
+        raise InternalError("a zero-row-sum 3x3 matrix always admits a grading")
     # before is_lattice_ideal, whose GRevLex basis of I this run caches
     mu = minimal_generator_count(I, d)
     latt = is_lattice_ideal(I)
-    assert mu in (2, 3)
+    if mu not in (2, 3):
+        raise InternalError(f"a 3x3 CB ideal has 2 or 3 minimal generators, not {mu}")
     return CbPropertiesReport(
         syzygies_hold=True,
         lattice_ideal=latt,

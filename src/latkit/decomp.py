@@ -108,8 +108,8 @@ def symbolic_decomposition(lat: Lattice):
         )
         for res in product(*(range(g) for g in gammas))
     ]
-    assert len(set(comps)) == len(comps)
-    assert sum(1 for c in comps if c.is_toric) == 1
+    if len(set(comps)) != len(comps) or sum(1 for c in comps if c.is_toric) != 1:
+        raise InternalError("characters must give distinct components, one of them toric")
     return comps
 
 
@@ -266,14 +266,16 @@ def rational_orbit_report(lat: Lattice) -> GaloisOrbitReport:
     gamma = 1
     for g in gammas:
         gamma *= g
-    assert sum(o.size for o in orbits) == gamma
+    if sum(o.size for o in orbits) != gamma:
+        raise InternalError(f"orbit sizes do not sum to the torsion order {gamma}")
     report = GaloisOrbitReport(
         torsion_order=gamma,
         invariant_factors=tuple(g for g in gammas if g > 1),
         grading=d,
         orbits=tuple(orbits),
     )
-    assert report.total_degree == gamma * per_comp
+    if report.total_degree != gamma * per_comp:
+        raise InternalError(f"orbit degrees do not sum to {gamma} * {per_comp}")
     return report
 
 

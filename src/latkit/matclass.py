@@ -11,13 +11,12 @@ from math import gcd
 from ._genpoly import (
     colon_by_poly,
     ideals_equal,
-    intersect,
     poly_from_binomial,
     poly_mul,
     poly_scale,
     poly_sub,
 )
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .exactmat import IntMatrix, adjoint, rank as matrix_rank
 from .graphs import WeightedDigraph
 from .ideal import (
@@ -79,13 +78,15 @@ class MatrixClassReport:
 
     def __post_init__(self):
         # class inclusions are structural; a violation is a bug
-        assert not self.positive_critical or (self.critical and self.generalized_positive)
-        assert not self.generalized_positive or (
-            self.generalized_critical and self.full_support_binomial
-        )
-        assert not self.critical or self.generalized_critical
-        assert not self.generalized_critical or self.pure_binomial
-        assert not self.full_support_binomial or self.pure_binomial
+        if (
+            (self.positive_critical and not (self.critical and self.generalized_positive))
+            or (self.generalized_positive
+                and not (self.generalized_critical and self.full_support_binomial))
+            or (self.critical and not self.generalized_critical)
+            or (self.generalized_critical and not self.pure_binomial)
+            or (self.full_support_binomial and not self.pure_binomial)
+        ):
+            raise InternalError(f"class flags break an inclusion: {self}")
 
 
 def classify(L: IntMatrix) -> MatrixClassReport:
@@ -112,8 +113,6 @@ def classify(L: IntMatrix) -> MatrixClassReport:
     c = grading_vector(L)
     cb = pb and all(sum(L.row(i)) == 0 for i in range(s))
     gcb = pb and b is not None
-    if cb:
-        assert gcb, "zero row sums put the all-ones vector in the kernel"
     return MatrixClassReport(
         pure_binomial=pb,
         full_support_binomial=pb and full,
@@ -150,8 +149,8 @@ class TransposeTheoremReport:
 
     Each *_holds field is None when its hypothesis does not apply,
     True when the predicted conclusion was verified. A False never
-    escapes: verification failure raises instead, since it would
-    contradict a proved statement.
+    escapes: a failed verification raises InternalError, with or
+    without `python -O`, since it would contradict a proved statement.
     """
 
     source: MatrixClassReport
@@ -180,15 +179,18 @@ def check_transpose_theorems(L: IntMatrix) -> TransposeTheoremReport:
     gpcb_holds = None
     if rep.generalized_positive:
         gpcb_holds = r == s - 1 and trep.generalized_positive
-        assert gpcb_holds, "GPCB transpose statement failed"
+        if not gpcb_holds:
+            raise InternalError("GPCB transpose statement failed")
     gcb_sc_holds = None
     if rep.generalized_critical and sc:
         gcb_sc_holds = trep.generalized_critical
-        assert gcb_sc_holds, "strongly connected GCB transpose statement failed"
+        if not gcb_sc_holds:
+            raise InternalError("strongly connected GCB transpose statement failed")
     gcb3_holds = None
     if rep.generalized_critical and s == 3:
         gcb3_holds = r == 2 and trep.generalized_critical
-        assert gcb3_holds, "3x3 GCB transpose statement failed"
+        if not gcb3_holds:
+            raise InternalError("3x3 GCB transpose statement failed")
 
     return TransposeTheoremReport(
         source=rep,
@@ -222,7 +224,8 @@ def gcb_vanishing_equivalence(L: IntMatrix) -> GcbEquivalenceReport:
     c = all(
         adj.entry(i, j) > 0 for i in range(adj.rows) for j in range(adj.cols)
     )
-    assert a == b == c, "the three GCB conditions must agree"
+    if not a == b == c:
+        raise InternalError(f"the three GCB conditions disagree: {a}, {b}, {c}")
     return GcbEquivalenceReport(
         strongly_connected=a,
         transpose_vanishing_condition=b,
@@ -281,11 +284,11 @@ def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
         raise PreconditionError("matrix is not GPCB")
     s = L.rows
     b = rep.right_kernel_witness
-    assert gcd(*b) == 1 if s > 1 else b[0] == 1
     scaled = IntMatrix(
         [[L.entry(i, j) * b[j] for j in range(s)] for i in range(s)]
     )
-    assert all(sum(scaled.row(i)) == 0 for i in range(s))
+    if gcd(*b) != 1 or any(sum(scaled.row(i)) for i in range(s)):
+        raise InternalError(f"kernel witness {b} is not a primitive kernel vector")
     mag = [[abs(scaled.entry(i, j)) for j in range(s)] for i in range(s)]
 
     shifts = []
@@ -356,21 +359,12 @@ def _distinguished_element(data: GpcbSyzygyData):
 
 
 def gpcb_hull(L: IntMatrix) -> BinomialIdeal:
-    """Lattice ideal of the column lattice of a GPCB matrix, verified
-    against the one-step polynomial colon of the column ideal."""
-    data = gpcb_syzygy(L)
-    s = L.rows
-    I = matrix_ideal(L)
-    hull = saturate_variables(I)
-    divisor = _distinguished_element(data)
-    colon = colon_by_poly(
-        [poly_from_binomial(g) for g in I.generators], divisor, s
-    )
-    hull_polys = [poly_from_binomial(g) for g in hull.reduced_groebner()]
-    assert ideals_equal(colon, hull_polys, s), (
-        "hull must match the colon by the distinguished element"
-    )
-    return hull
+    """Lattice ideal of the column lattice of a GPCB matrix: the
+    saturation of the column ideal. By the hull theorem it equals the
+    one-step polynomial colon by the distinguished element; the tests
+    hold that colon as the oracle, so none is computed here."""
+    gpcb_syzygy(L)  # the preconditions: GPCB, nonnegative shifts, both identities
+    return saturate_variables(matrix_ideal(L))
 
 
 @dataclass(frozen=True)
@@ -386,8 +380,9 @@ class EmbeddedComponentData:
 def gpcb_embedded_component(L: IntMatrix) -> EmbeddedComponentData:
     """Embedded primary component of the column ideal of a GPCB matrix
     with at least 4 variables: I + (t^shifts[s-1] * cofactors[s-1]).
-    Requires the colon by that element to stabilize in one step, and
-    verifies the two-piece intersection reproduces I exactly."""
+    Requires the colon by that element to stabilize in one step; then
+    I = hull ∩ component by the decomposition theorem, which the tests
+    check by intersecting the two pieces."""
     _require_square(L)
     s = L.rows
     if s < 4:
@@ -403,11 +398,6 @@ def gpcb_embedded_component(L: IntMatrix) -> EmbeddedComponentData:
         raise PreconditionError("colon by the distinguished element does not stabilize")
 
     hull = saturate_variables(I)
-    hull_polys = [poly_from_binomial(g) for g in hull.reduced_groebner()]
-    meet = intersect(hull_polys, gens + [f], s)
-    assert ideals_equal(meet, gens, s), (
-        "hull ∩ component must reproduce the column ideal"
-    )
     return EmbeddedComponentData(column_ideal=I, hull=hull, extra_generator=f)
 
 
@@ -438,8 +428,8 @@ def analyze_2x2(L: IntMatrix) -> TwoVariableAnalysis:
     b1, b2 = rep.right_kernel_witness
     c1, r1 = divmod(L.entry(0, 0), b2)
     c2, r2 = divmod(L.entry(1, 1), b1)
-    assert r1 == 0 and r2 == 0, "kernel witness must divide the diagonal"
-    assert L.to_rows() == [[b2 * c1, -b1 * c1], [-b2 * c2, b1 * c2]]
+    if r1 or r2 or L.to_rows() != [[b2 * c1, -b1 * c1], [-b2 * c2, b1 * c2]]:
+        raise InternalError(f"a 2x2 GPCB matrix with witness {(b1, b2)} must factor through it")
 
     x, y = (c1, 0), (0, c2)
     h = Binomial(x, y)
@@ -450,16 +440,13 @@ def analyze_2x2(L: IntMatrix) -> TwoVariableAnalysis:
         poly_sub({xp: Fraction(1)}, {yp: Fraction(1)})
         for xp, yp in (_column_term_pair(L, 0), _column_term_pair(L, 1))
     ]
-    assert cols[0] == poly_mul(hp, g1)
-    assert cols[1] == poly_scale(poly_mul(hp, g2), -1)
+    if cols[0] != poly_mul(hp, g1) or cols[1] != poly_scale(poly_mul(hp, g2), -1):
+        raise InternalError("the column binomials must factor through the hull generator")
 
     principal = b1 == 1 or b2 == 1
-    I = matrix_ideal(L)
-    hull_ideal = BinomialIdeal(2, [h])
-    assert saturate_variables(I) == hull_ideal
-    assert (I == hull_ideal) == principal
-    lattice = is_lattice_ideal(I)
-    assert lattice == principal
+    lattice = is_lattice_ideal(matrix_ideal(L))
+    if lattice != principal:
+        raise InternalError(f"lattice-ideal verdict {lattice}, but principal is {principal}")
     return TwoVariableAnalysis(
         witness=(b1, b2),
         hull_exponents=(c1, c2),
@@ -474,7 +461,7 @@ def analyze_2x2(L: IntMatrix) -> TwoVariableAnalysis:
 def pb_not_lattice_check(L: IntMatrix) -> bool:
     """For a PB matrix whose column binomials all involve at least 4
     variables, the column ideal is never a lattice ideal. Returns the
-    is-lattice verdict (necessarily False) after asserting it."""
+    is-lattice verdict (necessarily False) after checking it."""
     _require_square(L)
     rep = classify(L)
     if not rep.pure_binomial:
@@ -487,5 +474,6 @@ def pb_not_lattice_check(L: IntMatrix) -> bool:
                 f"column {j + 1} binomial involves {support} variables; need 4"
             )
     verdict = is_lattice_ideal(matrix_ideal(L))
-    assert not verdict, "PB ideal with full supports cannot be a lattice ideal"
+    if verdict:
+        raise InternalError("a PB ideal with full supports cannot be a lattice ideal")
     return verdict

@@ -146,6 +146,7 @@ def random_cb3(rng):
 
 def test_random_cb3_round_trip():
     rng = random.Random(20240817)
+    scales = random.Random(20240818)
     for _ in range(25):
         L = random_cb3(rng)
         lat = Lattice(3, [L.column(j) for j in range(3)])
@@ -153,6 +154,12 @@ def test_random_cb3_round_trip():
         assert Lattice(3, [M.column(j) for j in range(3)]) == lat
         Mh, hull = find_hull_gcb3(L)
         assert hull == saturate_variables(matrix_ideal(L))
+        # scaled columns: GCB, and CB only when the scales agree
+        scale = [scales.randint(1, 3) for _ in range(3)]
+        G = IntMatrix([[x * c for x, c in zip(row, scale)] for row in L.to_rows()])
+        Mg, hull = find_hull_gcb3(G)
+        assert hull == saturate_variables(matrix_ideal(G)), G.to_rows()
+        assert Lattice(3, [Mg.column(j) for j in range(3)]) == Lattice(3, [G.column(j) for j in range(3)])
         rep = cb_properties_check(L)
         assert rep.syzygies_hold
         assert rep.minimal_generators in (2, 3)

@@ -297,6 +297,30 @@ def test_unexpected_exception_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_cb3_internal_check_exit_3(capsys, monkeypatch, tmp_path):
+    # a planted fault trips a structure-theorem check inside cb3: exit 3
+    # with the check's own message on one line
+    import latkit.cb3 as cb3
+
+    critical_data = cb3._critical_data
+
+    def doubled(lat, index, cap):
+        a, tail = critical_data(lat, index, cap)
+        return 2 * a, tuple(2 * x for x in tail)
+
+    monkeypatch.setattr(cb3, "_critical_data", doubled)
+    code, out, err = run(capsys, "cb3", "findhull", str(DATA / "kernel211.mat"), "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: the assembled matrix must generate the same column lattice\n"
+
+    f = tmp_path / "cb.mat"
+    f.write_text("3 3\n4 -2 -2\n-1 4 -3\n-2 -2 4\n")
+    monkeypatch.setattr(cb3, "poly_mul", lambda p, q: {(0, 0, 1): 1})
+    code, out, err = run(capsys, "cb3", "check", str(f), "--json")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: the cyclic syzygies must expand to zero\n"
+
+
 def test_broken_pipe_is_quiet(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_snf", _failing_handler(BrokenPipeError(32, "Broken pipe")))
     code, out, err = run(capsys, "snf", str(DATA / "identity3.mat"))

@@ -26,6 +26,9 @@ from latkit import (
     underlying_digraph,
 )
 
+from latkit._genpoly import colon_by_poly, ideals_equal, intersect, poly_from_binomial
+from latkit.matclass import _distinguished_element
+
 from exampledata import (
     DENSE_PCB_4X4,
     DIRECTED_DEMO_LAPLACIAN,
@@ -40,6 +43,7 @@ from exampledata import (
     complete_graph,
     demo_graph,
 )
+from optimized import run_optimized
 
 
 def test_classify_dense_pcb():
@@ -161,8 +165,29 @@ def test_syzygy_degenerates_for_unit_witness():
     assert data.shifts[3] == (0, 1, 2, 0)
 
 
+def colon_hull(L):
+    """The hull as the one-step colon of the column ideal by the
+    distinguished element, in the rational-polynomial engine."""
+    gens = [poly_from_binomial(g) for g in matrix_ideal(L).generators]
+    return colon_by_poly(gens, _distinguished_element(gpcb_syzygy(L)), L.rows)
+
+
+def assert_hull_is_colon(L, hull):
+    polys = [poly_from_binomial(g) for g in hull.reduced_groebner()]
+    assert ideals_equal(colon_hull(L), polys, L.rows), L.to_rows()
+
+
+def assert_hull_meets_component(comp):
+    """hull ∩ (I + f) == I for the decomposition of the column ideal I."""
+    s = comp.column_ideal.ambient_dim
+    gens = [poly_from_binomial(g) for g in comp.column_ideal.generators]
+    hull = [poly_from_binomial(g) for g in comp.hull.reduced_groebner()]
+    assert ideals_equal(intersect(hull, gens + [comp.extra_generator], s), gens, s)
+
+
 def test_hull_of_kernel_211():
     hull = gpcb_hull(IntMatrix(KERNEL_211_3X3))
+    assert_hull_is_colon(IntMatrix(KERNEL_211_3X3), hull)
     assert hull == BinomialIdeal(3, binomials(KERNEL_211_HULL_PAIRS))
     assert hull == matrix_ideal(IntMatrix(KERNEL_211_HULL_MATRIX))
     # already a lattice ideal: taking the hull again is a fixed point
@@ -171,6 +196,7 @@ def test_hull_of_kernel_211():
 
 def test_hull_of_kernel_235():
     hull = gpcb_hull(IntMatrix(KERNEL_235_3X3))
+    assert_hull_is_colon(IntMatrix(KERNEL_235_3X3), hull)
     assert hull == BinomialIdeal(3, binomials(KERNEL_235_HULL_PAIRS))
     assert hull == saturate_variables(matrix_ideal(IntMatrix(KERNEL_235_HULL_MATRIX)))
 
@@ -189,6 +215,7 @@ def test_embedded_component_dense_pcb():
     comp = gpcb_embedded_component(IntMatrix(DENSE_PCB_4X4))
     assert comp.extra_generator == {(0, 1, 2, 0): Fraction(1)}
     assert comp.hull == saturate_variables(matrix_ideal(IntMatrix(DENSE_PCB_4X4)))
+    assert_hull_meets_component(comp)
     with pytest.raises(PreconditionError):
         gpcb_embedded_component(IntMatrix(KERNEL_235_3X3))  # needs 4 variables
 
@@ -209,6 +236,11 @@ def test_analyze_2x2():
     a = analyze_2x2(IntMatrix([[6, -4], [-3, 2]]))
     assert a.witness == (2, 3) and a.hull_exponents == (2, 1)
     assert not a.lattice_ideal
+
+    # h generates the hull: the saturation of the column ideal
+    for rows in ([[2, -1], [-2, 1]], [[3, -2], [-3, 2]], [[1, -1], [-1, 1]], [[6, -4], [-3, 2]]):
+        L = IntMatrix(rows)
+        assert saturate_variables(matrix_ideal(L)) == BinomialIdeal(2, [analyze_2x2(L).hull_generator])
 
     with pytest.raises(PreconditionError):
         analyze_2x2(IntMatrix([[2, 0], [0, 2]]))
@@ -246,7 +278,10 @@ def test_random_gpcb_transpose_closure():
         assert r.generalized_positive, (L.to_rows(), b)
         rep = check_transpose_theorems(L)
         assert rep.gpcb_transpose_holds
-        gpcb_syzygy(L)  # identity asserted internally
+        gpcb_syzygy(L)  # identities checked internally
+        assert_hull_is_colon(L, gpcb_hull(L))
+        if s == 4:  # each of these colons stabilizes
+            assert_hull_meets_component(gpcb_embedded_component(L))
 
 
 def test_random_gpcb_unmixedness_trichotomy():
@@ -265,3 +300,56 @@ def test_random_gpcb_unmixedness_trichotomy():
         if s == 2:
             a2 = analyze_2x2(L)
             assert latt == a2.lattice_ideal == (min(r.right_kernel_witness) == 1)
+            assert saturate_variables(matrix_ideal(L)) == BinomialIdeal(2, [a2.hull_generator])
+
+
+def test_proof_checks_fire_under_python_O():
+    # plant a fault in front of checks of matclass, cb3 and decomp: each
+    # must raise InternalError with asserts stripped
+    code = """
+import latkit.cb3 as c
+import latkit.decomp as d
+import latkit.matclass as m
+from latkit import IntMatrix, InternalError, Lattice
+
+def planted(module, name, broken, call):
+    good = getattr(module, name)
+    setattr(module, name, broken)
+    try:
+        print("no error", call())
+    except InternalError as err:
+        print(type(err).__name__, err)
+    finally:
+        setattr(module, name, good)
+
+k211 = IntMatrix([[4, -5, -3], [-1, 3, -1], [-1, -1, 3]])
+no_transpose = IntMatrix([[5, -2, 0, -1], [0, 1, -1, 0], [0, -1, 1, 0], [-1, 0, -1, 4]])
+triangle = IntMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+torsion2 = Lattice(3, [(-2, 4, -2), (-2, -3, 4)])
+torsion3 = Lattice(3, [(3, -3, 0), (0, 1, -1)])
+adjoint, critical_data = m.adjoint, c._critical_data
+
+def doubled(lat, index, cap):
+    a, tail = critical_data(lat, index, cap)
+    return 2 * a, tuple(2 * x for x in tail)
+
+planted(m, "matrix_rank", lambda L: 0, lambda: m.check_transpose_theorems(k211))
+planted(m, "strongly_connected", lambda G: True, lambda: m.check_transpose_theorems(no_transpose))
+planted(m, "adjoint", lambda L: IntMatrix([[-x for x in r] for r in adjoint(L).to_rows()]),
+        lambda: m.gcb_vanishing_equivalence(k211))
+planted(m, "is_lattice_ideal", lambda I: True, lambda: m.analyze_2x2(IntMatrix([[3, -2], [-3, 2]])))
+planted(c, "poly_mul", lambda p, q: {(0, 0, 1): 1}, lambda: c.cb_properties_check(triangle))
+planted(c, "_critical_data", doubled, lambda: c.cb_structure(torsion2))
+planted(d, "_totient", lambda n: 1, lambda: d.rational_orbit_report(torsion3))
+planted(d, "product", lambda *ranges: [(0,)] * 2, lambda: len(d.symbolic_decomposition(torsion2)))
+"""
+    assert run_optimized(code).split("\n") == [
+        "InternalError GPCB transpose statement failed",
+        "InternalError strongly connected GCB transpose statement failed",
+        "InternalError the three GCB conditions disagree: True, True, False",
+        "InternalError lattice-ideal verdict True, but principal is False",
+        "InternalError the cyclic syzygies must expand to zero",
+        "InternalError the assembled matrix must generate the same column lattice",
+        "InternalError orbit sizes do not sum to the torsion order 3",
+        "InternalError characters must give distinct components, one of them toric",
+    ]
