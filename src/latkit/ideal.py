@@ -66,10 +66,16 @@ class Monomial:
     def degree(self):
         return sum(self.exponents)
 
+    def _same_dim(self, other):
+        if len(self.exponents) != len(other.exponents):
+            raise ValueError("monomial ambient dimension mismatch")
+
     def __mul__(self, other):
+        self._same_dim(other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def divides(self, other):
+        self._same_dim(other)
         return _divides(self.exponents, other.exponents)
 
     def __eq__(self, other):
@@ -295,17 +301,11 @@ def _spair(f, g, cmp):
     return _orient(b, a, cmp)
 
 
-def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
-    """(reduced Groebner basis, surviving inputs) by Buchberger's
-    algorithm: normal selection strategy, the Gebauer-Moeller pair
-    update, then minimalization and tail reduction.
-
-    Elements are opaque to the driver. lead(e) is the leading exponent
-    tuple of e; s_reduce(f, g) is the S-element of f and g, or None when
-    it vanishes outright; reduce(e, basis) is the normalized normal form
-    of e modulo basis, or None when that is zero; sort_key orders the
-    result; degree(m) is a positive grading. The input must be
-    normalized and free of duplicates.
+def _buchberger(gens, cmp, degree=sum):
+    """(reduced Groebner basis, surviving inputs) of the given (lead, tail)
+    elements under cmp by Buchberger's algorithm: normal selection
+    strategy, the Gebauer-Moeller pair update, then minimalization and
+    tail reduction. degree(m) is a positive grading.
 
     An input of degree d is reduced against the basis, and joins it if
     it survives, only after every pair of degree <= d. For an ideal
@@ -321,6 +321,11 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
     elements have the same lead ideal as the whole basis, so new pairs
     and reductions use only them.
     """
+    elements = []
+    for lead, tail in gens:
+        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        if e is not None and e not in elements:
+            elements.append(e)
     basis = []
     leads = []
     active = []  # indices into basis, increasing
@@ -329,7 +334,7 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
 
     def update(e):
         n = len(basis)
-        ln = lead(e)
+        ln = e[0]
         # old pairs (i, j) with ln | lcm(i, j) are covered by (i, n) and
         # (j, n) unless one of those has the same lcm (criterion B)
         kept = [
@@ -373,55 +378,36 @@ def _groebner(elements, lead, s_reduce, reduce, sort_key, degree=sum):
     def process_pairs(bound):
         while pairs and pairs[0][0] <= bound:
             _, _, i, j = heapq.heappop(pairs)
-            s = s_reduce(basis[i], basis[j])
+            s = _spair(basis[i], basis[j], cmp)
             if s is not None:
-                s = reduce(s, live)
+                s = _reduce_element(s, live, cmp)
                 if s is not None:
                     update(s)
 
     survivors = 0
-    for d, e in sorted(((degree(lead(e)), e) for e in elements), key=operator.itemgetter(0)):
+    for d, e in sorted(((degree(e[0]), e) for e in elements), key=operator.itemgetter(0)):
         process_pairs(d)
-        e = reduce(e, live)
+        e = _reduce_element(e, live, cmp)
         if e is not None:
             update(e)
             survivors += 1
     process_pairs(math.inf)
-    return _interreduce(live, lead, reduce, sort_key), survivors
+    return _interreduce(live, cmp), survivors
 
 
-def _interreduce(keep, lead, reduce, sort_key):
+def _interreduce(keep, cmp):
     """The reduced Groebner basis from a minimal one (no lead divides
-    another): tail reduction and the final sort, with _groebner's
-    element operations. _groebner's active elements are minimal already:
-    an element joins only after reduction by them, and joining drops
-    those whose lead its own lead divides."""
+    another): tail reduction and the final sort. _buchberger's active
+    elements are minimal already: an element joins only after reduction
+    by them, and joining drops those whose lead its own lead divides."""
     reduced = []
     for idx, e in enumerate(keep):
-        r = reduce(e, keep[:idx] + keep[idx + 1:])
-        if r is None or lead(r) != lead(e):
+        r = _reduce_element(e, keep[:idx] + keep[idx + 1:], cmp)
+        if r is None or r[0] != e[0]:
             raise InternalError("lead of a minimal element must survive")
         reduced.append(r)
-    reduced.sort(key=sort_key)
+    reduced.sort(key=_sort_key)
     return reduced
-
-
-def _buchberger(gens, cmp, degree=sum):
-    """(reduced Groebner basis, surviving inputs) of the given binomial
-    elements under cmp; see _groebner."""
-    basis = []
-    for lead, tail in gens:
-        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
-        if e is not None and e not in basis:
-            basis.append(e)
-    return _groebner(
-        basis,
-        operator.itemgetter(0),
-        lambda f, g: _spair(f, g, cmp),
-        lambda e, others: _reduce_element(e, others, cmp),
-        _sort_key,
-        degree,
-    )
 
 
 def _sort_key(elem):
@@ -481,9 +467,13 @@ class BinomialIdeal:
     def reduced_groebner(self, order=None):
         if order is None:
             order = MonomialOrder.grevlex(self.ambient_dim)
+        elif order.num_vars != self.ambient_dim:
+            raise ValueError("monomial order ambient dimension mismatch")
         return tuple(Binomial(l, t) for l, t in self._gb_elements(order))
 
     def contains(self, binomial: Binomial) -> bool:
+        if binomial.ambient_dim != self.ambient_dim:
+            raise ValueError("binomial ambient dimension mismatch")
         order = MonomialOrder.grevlex(self.ambient_dim)
         basis = self._gb_elements(order)
         return _reduce_element((binomial.plus, binomial.minus), basis, order.compare) is None
@@ -594,12 +584,7 @@ def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
             if elem[0] in minimal:
                 minimal.remove(elem[0])
                 kept.append(elem)
-        kept = _interreduce(
-            kept,
-            operator.itemgetter(0),
-            lambda x, others: _reduce_element(x, others, _grevlex_cmp),
-            _sort_key,
-        )
+        kept = _interreduce(kept, _grevlex_cmp)
     else:
         kept = _saturate_by_marker(ideal, e)
     return _ideal_of_grevlex_basis(s, kept)
@@ -868,7 +853,7 @@ def vanishing_condition(ideal: BinomialIdeal) -> bool:
 def minimal_generator_count(ideal: BinomialIdeal, weights) -> int:
     """Number of minimal generators, for an ideal homogeneous under the
     given positive integer grading: the inputs that survive one GRevLex
-    Buchberger run under that grading (see _groebner), whose basis fills
+    Buchberger run under that grading (see _buchberger), whose basis fills
     the ideal's GRevLex cache.
     """
     d = tuple(int(x) for x in weights)

@@ -8,14 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._genpoly import (
-    colon_by_poly,
-    ideals_equal,
-    poly_from_binomial,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-)
+from ._genpoly import poly_mul, poly_scale, poly_sub
 from .errors import InternalError, PreconditionError
 from .exactmat import IntMatrix, adjoint, rank as matrix_rank
 from .graphs import WeightedDigraph
@@ -273,11 +266,10 @@ class GpcbSyzygyData:
     quotients: tuple
 
 
-def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
-    """Construct the explicit relation data and verify both identities
-    by exact polynomial expansion. Raises when a shift vector would
-    need a negative coordinate or an identity fails to expand to the
-    predicted value; nothing is guessed or clamped."""
+def _gpcb_shifts(L: IntMatrix):
+    """(witness b, scaled matrix L diag(b), shift vectors) of a GPCB
+    matrix. Raises when L is not GPCB, when b is not a primitive kernel
+    vector, or when a shift vector would need a negative coordinate."""
     _require_square(L)
     rep = classify(L)
     if not rep.generalized_positive:
@@ -310,7 +302,16 @@ def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
                 f"shift vector {i + 1} has a negative coordinate: {tuple(vec)}"
             )
         shifts.append(tuple(vec))
+    return b, scaled, shifts
 
+
+def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
+    """Construct the explicit relation data and verify both identities
+    by exact polynomial expansion. Raises when a shift vector would
+    need a negative coordinate or an identity fails to expand to the
+    predicted value; nothing is guessed or clamped."""
+    b, scaled, shifts = _gpcb_shifts(L)
+    s = L.rows
     pairs = [_column_term_pair(L, i) for i in range(s)]
     cof = [_term_power_sum(x, y, b[i]) for i, (x, y) in enumerate(pairs)]
     quo = [
@@ -362,15 +363,27 @@ def gpcb_hull(L: IntMatrix) -> BinomialIdeal:
     """Lattice ideal of the column lattice of a GPCB matrix: the
     saturation of the column ideal. By the hull theorem it equals the
     one-step polynomial colon by the distinguished element; the tests
-    hold that colon as the oracle, so none is computed here."""
-    gpcb_syzygy(L)  # the preconditions: GPCB, nonnegative shifts, both identities
+    hold that colon as the oracle, so none is computed here. Raises
+    when L is not GPCB or a shift vector would be negative, as
+    gpcb_syzygy does; the two identities are theorems and are expanded
+    by gpcb_syzygy only."""
+    _gpcb_shifts(L)
     return saturate_variables(matrix_ideal(L))
 
 
 @dataclass(frozen=True)
 class EmbeddedComponentData:
     """Decomposition I = hull ∩ component, where the component adds a
-    single extra generator (generally not a binomial) to I."""
+    single extra generator f (generally not a binomial) to I.
+
+    The decomposition theorem asks that the colon by f stabilize,
+    I : f = I : f^2; that always holds. By the hull theorem I : f is
+    the hull, a lattice ideal, which over the rationals is radical and
+    has no monomial in any of its primes. Every such prime holds the
+    column binomial x - y of the last column, and modulo it f is a
+    nonzero constant times a monomial, so f lies in none of them. Hence
+    hull : f = hull and I : f^2 = hull : f = I : f.
+    """
 
     column_ideal: BinomialIdeal
     hull: BinomialIdeal
@@ -378,27 +391,35 @@ class EmbeddedComponentData:
 
 
 def gpcb_embedded_component(L: IntMatrix) -> EmbeddedComponentData:
-    """Embedded primary component of the column ideal of a GPCB matrix
-    with at least 4 variables: I + (t^shifts[s-1] * cofactors[s-1]).
-    Requires the colon by that element to stabilize in one step; then
-    I = hull ∩ component by the decomposition theorem, which the tests
-    check by intersecting the two pieces."""
+    """Embedded primary component of the column ideal I of a GPCB matrix
+    with at least 4 variables: I + (f), f = t^shifts[s-1] *
+    cofactors[s-1]. Then I = hull ∩ (I + (f)) by the decomposition
+    theorem, which the tests check by intersecting the two pieces.
+
+    The theorem needs I : f = I : f^2, and no colon is computed for it
+    because it always holds. By the hull theorem I : f = hull, the
+    lattice ideal of the column lattice. In characteristic 0 a lattice
+    ideal is radical and no monomial lies in any of its primes (Eisenbud
+    and Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996). Each such
+    prime P holds the column binomial f_s = x - y of the last column, so
+    modulo P the cofactor sum_j x^(b_s - j) y^(j - 1) is b_s y^(b_s - 1)
+    and f is b_s t^shifts[s-1] y^(b_s - 1): a nonzero constant times a
+    monomial, so f is not in P. The hull is the intersection of these
+    primes, so hull : f = hull, and I : f^2 = (I : f) : f = hull : f =
+    hull = I : f. The tests keep the two colons as an oracle.
+
+    Raises as gpcb_syzygy does when L is not GPCB or a shift vector
+    would be negative; the syzygy identities are not expanded here.
+    """
     _require_square(L)
     s = L.rows
     if s < 4:
         raise PreconditionError("embedded component needs at least 4 variables")
-    data = gpcb_syzygy(L)
+    b, _, shifts = _gpcb_shifts(L)
+    x, y = _column_term_pair(L, s - 1)
+    f = poly_mul({shifts[-1]: Fraction(1)}, _term_power_sum(x, y, b[-1]))
     I = matrix_ideal(L)
-    gens = [poly_from_binomial(g) for g in I.generators]
-    f = _distinguished_element(data)
-
-    first = colon_by_poly(gens, f, s)
-    second = colon_by_poly(first, f, s)
-    if not ideals_equal(first, second, s):
-        raise PreconditionError("colon by the distinguished element does not stabilize")
-
-    hull = saturate_variables(I)
-    return EmbeddedComponentData(column_ideal=I, hull=hull, extra_generator=f)
+    return EmbeddedComponentData(column_ideal=I, hull=saturate_variables(I), extra_generator=f)
 
 
 @dataclass(frozen=True)

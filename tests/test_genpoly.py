@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from latkit import Binomial, BinomialIdeal, MonomialOrder
-from latkit._genpoly import (
+from ratpoly import (
     colon_by_poly,
     intersect,
     poly_from_binomial,

@@ -52,6 +52,25 @@ def test_monomial_arithmetic():
         Monomial((-1, 0))
 
 
+def test_ambient_dimension_mismatches_raise():
+    I = BinomialIdeal(2, [Binomial((1, 0), (0, 1))])
+    with pytest.raises(ValueError, match="ambient dimension"):
+        I.contains(Binomial((1, 0, 7), (0, 1, 0)))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        I.contains(Binomial((1,), (0,)))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        I.reduced_groebner(MonomialOrder.grevlex(3))
+    assert MonomialOrder.grevlex(3).cache_key not in I._cache
+    assert I.contains(Binomial((2, 0), (0, 2)))
+    assert I.reduced_groebner(MonomialOrder.elimination(2, (0,))) == (Binomial((1, 0), (0, 1)),)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Monomial((1, 2)) * Monomial((3,))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Monomial((1, 2)).divides(Monomial((1,)))
+    assert Monomial((1, 2)).divides(Monomial((1, 3)))
+    assert not Monomial((1, 2)).divides(Monomial((2, 1)))
+
+
 def test_binomial_canonical_orientation():
     # the stored plus-side is the larger monomial in graded reverse
     # lexicographic order
@@ -362,7 +381,8 @@ def test_saturate_variables_is_saturation_by_the_variable_product():
 # ---------------------------------------------------------------------------
 # Buchberger's loop with the chain criterion in place of the
 # Gebauer-Moeller pair update: every pair enters the heap, and the chain
-# criterion scans the basis on each pop. The oracle for ideal._groebner.
+# criterion scans the basis on each pop. The oracle for ideal._buchberger
+# and for the generic driver of the rational engine in ratpoly.
 
 
 def _groebner_chain_criterion(elements, lead, s_reduce, reduce, sort_key):
@@ -470,7 +490,7 @@ def test_pair_update_matches_chain_criterion_binomial():
 def test_pair_update_matches_chain_criterion_rational():
     from fractions import Fraction
 
-    from latkit._genpoly import _leading, _poly_key, _spoly, normal_form, reduced_basis
+    from ratpoly import _leading, _poly_key, _spoly, normal_form, reduced_basis
 
     rng = random.Random(9090)
     for _ in range(25):

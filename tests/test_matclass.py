@@ -26,7 +26,6 @@ from latkit import (
     underlying_digraph,
 )
 
-from latkit._genpoly import colon_by_poly, ideals_equal, intersect, poly_from_binomial
 from latkit.matclass import _distinguished_element
 
 from exampledata import (
@@ -44,6 +43,7 @@ from exampledata import (
     demo_graph,
 )
 from optimized import run_optimized
+from ratpoly import colon_by_poly, ideals_equal, intersect, poly_from_binomial
 
 
 def test_classify_dense_pcb():
@@ -173,8 +173,18 @@ def colon_hull(L):
 
 
 def assert_hull_is_colon(L, hull):
+    """The hull theorem, I : f == hull; returns the colon I : f."""
+    colon = colon_hull(L)
     polys = [poly_from_binomial(g) for g in hull.reduced_groebner()]
-    assert ideals_equal(colon_hull(L), polys, L.rows), L.to_rows()
+    assert ideals_equal(colon, polys, L.rows), L.to_rows()
+    return colon
+
+
+def assert_colon_stabilizes(L, colon):
+    """I : f == I : f^2, the condition of the decomposition theorem,
+    given colon = I : f."""
+    f = _distinguished_element(gpcb_syzygy(L))
+    assert ideals_equal(colon, colon_by_poly(colon, f, L.rows), L.rows), L.to_rows()
 
 
 def assert_hull_meets_component(comp):
@@ -216,6 +226,8 @@ def test_embedded_component_dense_pcb():
     assert comp.extra_generator == {(0, 1, 2, 0): Fraction(1)}
     assert comp.hull == saturate_variables(matrix_ideal(IntMatrix(DENSE_PCB_4X4)))
     assert_hull_meets_component(comp)
+    L = IntMatrix(DENSE_PCB_4X4)
+    assert_colon_stabilizes(L, assert_hull_is_colon(L, comp.hull))
     with pytest.raises(PreconditionError):
         gpcb_embedded_component(IntMatrix(KERNEL_235_3X3))  # needs 4 variables
 
@@ -279,9 +291,22 @@ def test_random_gpcb_transpose_closure():
         rep = check_transpose_theorems(L)
         assert rep.gpcb_transpose_holds
         gpcb_syzygy(L)  # identities checked internally
-        assert_hull_is_colon(L, gpcb_hull(L))
-        if s == 4:  # each of these colons stabilizes
-            assert_hull_meets_component(gpcb_embedded_component(L))
+        colon = assert_hull_is_colon(L, gpcb_hull(L))
+        if s == 4:
+            comp = gpcb_embedded_component(L)
+            assert comp.extra_generator == _distinguished_element(gpcb_syzygy(L))
+            assert_hull_meets_component(comp)
+            assert_colon_stabilizes(L, colon)
+
+
+def test_random_gpcb_embedded_component_five_variables():
+    rng = random.Random(913)
+    for _ in range(4):
+        L, b = random_gpcb(rng, 5)
+        comp = gpcb_embedded_component(L)
+        assert comp.extra_generator == _distinguished_element(gpcb_syzygy(L)), b
+        assert comp.hull == saturate_variables(matrix_ideal(L))
+        assert_colon_stabilizes(L, assert_hull_is_colon(L, comp.hull))
 
 
 def test_random_gpcb_unmixedness_trichotomy():
