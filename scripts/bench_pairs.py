@@ -6,18 +6,21 @@
 
 Each `--workload NAME:SEED:PAIRS` runs `perfbench/run.py` PAIRS times in
 each checkout, alternating which side goes first (pair 1 runs the parent
-first, pair 2 the change first, and so on). Each `--trace NAME` adds one
-traced run (`--trace 1`, seed 1) per side. Both checkouts run with this
-interpreter for the `run_seconds` of the change's BENCHMARK.json.
+first, pair 2 the change first, and so on). Each `--trace NAME` adds two
+traced runs (`--trace 1`, seed 1) per side, in the order parent, change,
+change, parent, so that a drift in machine load reaches both sides alike.
+Both checkouts run with this interpreter for the `run_seconds` of the
+change's BENCHMARK.json.
 
 The output, `BENCH_<label>.json` in the change checkout unless `--out`
 says otherwise, holds every run: per workload and end-to-end metric the
 runs of each side, their median and quartiles
 (`statistics.quantiles(n=4, method="inclusive")`), the pairs the change
 won (ties count for neither side) and the ratio of the medians; per
-traced workload the per-layer metrics of each side. It is rewritten
-after every pair and traced run, so an interrupted comparison keeps what
-it measured.
+traced workload the record of each traced run and the same summary of
+every per-layer metric, the two traced runs of a side paired in the
+order they ran. It is rewritten after every pair and traced run, so an
+interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ def metric_entry(spec, parent_runs, change_runs):
     entry = {"unit": spec["unit"], "better": spec["better"],
              "parent": summary(parent_runs), "change": summary(change_runs),
              "change_wins": f"{wins}/{len(change_runs)}"}
-    entry["median_ratio"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
+    # a layer that a workload never calls reads 0 on both sides
+    parent_median = entry["parent"]["median"]
+    entry["median_ratio"] = round(entry["change"]["median"] / parent_median, 4) if parent_median else None
     return entry
 
 
@@ -86,10 +91,24 @@ def workload_entry(name, seed, seconds, specs, results):
     return entry
 
 
-def traced_entry(record):
-    out = {k: record[k] for k in ("correct", "traced_passes", "bypassed")}
-    out.update({k: round(v["value"], 4) for k, v in record["metrics"].items()})
-    return out
+def traced_entry(specs, records):
+    """records[side] holds the traced runs of one workload, in the order
+    they ran; the metrics summarize the runs both sides have made."""
+    n = min(len(records[side]) for side in SIDES)
+    entry = {
+        "runs": {
+            side: [{k: r[k] for k in ("correct", "traced_passes", "bypassed")} for r in records[side]]
+            for side in SIDES
+        },
+        "metrics": {},
+    }
+    for spec in specs if n else ():
+        runs = {
+            side: [round(r["metrics"][spec["name"]]["value"], 4) for r in records[side][:n]]
+            for side in SIDES
+        }
+        entry["metrics"][spec["name"]] = metric_entry(spec, runs["parent"], runs["change"])
+    return entry
 
 
 def parse_workload(text):
@@ -131,7 +150,9 @@ def main(argv=None):
         "traced_pass": {
             "command": f"python3 perfbench/run.py --workload <w> --seed 1 --seconds {seconds} "
                        "--trace 1",
-            "note": "self_s and calls are per traced pass; one run per side",
+            "note": "self_s and calls are per traced pass; two runs per side, in the order "
+                    "parent, change, change, parent; change_wins pairs the first runs of the "
+                    "two sides and then the second runs",
         },
     }
     if args.claim:
@@ -156,11 +177,11 @@ def main(argv=None):
             print(f"{name} seed {seed}: pair {k + 1}/{pairs}, jobs_per_s median ratio {ratio}",
                   file=sys.stderr)
     for name in args.trace:
-        bench["traced_pass"][name] = {
-            side: traced_entry(run_bench(checkouts[side], name, 1, seconds, 1))
-            for side in SIDES
-        }
-        save()
+        records = {side: [] for side in SIDES}
+        for side in SIDES + SIDES[::-1]:
+            records[side].append(run_bench(checkouts[side], name, 1, seconds, 1))
+            bench["traced_pass"][name] = traced_entry(declared["per_layer"], records)
+            save()
     save()
     return 0
 

@@ -19,6 +19,7 @@ from .ideal import (
     minimal_generator_count,
 )
 from .lattice import Lattice, grading_vector
+from .matclass import classify
 
 __all__ = [
     "CriticalBinomialSet",
@@ -218,8 +219,6 @@ def find_hull_gcb3(L: IntMatrix, max_exponent: int = DEFAULT_EXPONENT_CAP):
     column ideal. By the structure theorem the hull is the matrix ideal
     of the new matrix, so no saturation runs; the tests compare it with
     the saturation of the column ideal."""
-    from .matclass import classify
-
     if L.rows != 3 or L.cols != 3:
         raise PreconditionError("matrix must be 3x3")
     rep = classify(L)
@@ -247,8 +246,6 @@ def cb_properties_check(L: IntMatrix) -> CbPropertiesReport:
     """Expand the two cyclic syzygies of the column binomials exactly,
     then settle lattice-ideal status and the generator count (2 means
     complete intersection, 3 almost complete intersection)."""
-    from .matclass import classify
-
     if L.rows != 3 or L.cols != 3:
         raise PreconditionError("matrix must be 3x3")
     rep = classify(L)

@@ -115,7 +115,8 @@ def _human_lines(payload, indent=""):
             lines.extend(_human_lines(value, indent + "  "))
         elif isinstance(value, (list, tuple)):
             if all(isinstance(v, str) for v in value):
-                lines.append(f"{indent}{key}: {' '.join(str(v) for v in value)}")
+                # an empty list prints `key:` with no trailing space
+                lines.append(" ".join([f"{indent}{key}:", *value]))
             elif all(isinstance(v, list) for v in value) and all(
                 isinstance(x, str) for v in value for x in v
             ):

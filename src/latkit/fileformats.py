@@ -80,11 +80,10 @@ def parse_ideal(text: str) -> BinomialIdeal:
     gens = []
     for line in lines[1:]:
         v = _ints(line, expect=count_vars, what="generator row")
-        if not any(v):
-            raise ParseError("zero vector does not define a binomial")
-        plus = tuple(x if x > 0 else 0 for x in v)
-        minus = tuple(-x if x < 0 else 0 for x in v)
-        gens.append(Binomial(plus, minus))
+        try:
+            gens.append(Binomial.from_vector(v))
+        except ValueError as err:
+            raise ParseError(str(err)) from None
     return BinomialIdeal(count_vars, gens)
 
 

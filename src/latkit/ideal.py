@@ -1,13 +1,13 @@
 """Binomial ideals over the rationals with exact Groebner machinery.
 
 All ideal arithmetic stays inside the class of pure-difference
-binomials t^a - t^b, optionally extended by plain monomials when a
-computation adjoins one (radical membership tests do). Coefficients
-never leave {1, -1}, so everything is exact integer arithmetic.
+binomials t^a - t^b. Coefficients never leave {1, -1}, so everything is
+exact integer arithmetic, and no such ideal is the unit ideal: each
+vanishes at (1, ..., 1).
 
 Internally an element is a pair (lead, tail) of exponent tuples with
 lead != tail, oriented so lead is the larger monomial in the active
-order; tail None encodes a bare monomial t^lead.
+order. None stands only for a binomial that reduced to zero.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class Binomial:
 
 
 # ---------------------------------------------------------------------------
-# engine: elements are (lead, tail) tuples, tail None for monomials
+# engine: elements are (lead, tail) binomials; None is zero
 
 
 def _orient(a, b, cmp):
@@ -254,50 +254,29 @@ def _reduce_element(elem, basis, cmp):
     while True:
         for lb, tb in basis:
             if _divides(lb, lead):
-                if tb is None:
-                    if tail is None:
-                        return None
-                    lead, tail = tail, None
-                else:
-                    new = tuple(l - a + b for l, a, b in zip(lead, lb, tb))
-                    if tail is None:
-                        lead = new
-                    else:
-                        pair = _orient(new, tail, cmp)
-                        if pair is None:
-                            return None
-                        lead, tail = pair
+                new = tuple(l - a + b for l, a, b in zip(lead, lb, tb))
+                pair = _orient(new, tail, cmp)
+                if pair is None:
+                    return None
+                lead, tail = pair
                 break
         else:
             break
-    if tail is not None:
-        while True:
-            for lb, tb in basis:
-                if _divides(lb, tail):
-                    if tb is None:
-                        tail = None
-                    else:
-                        tail = tuple(t - a + b for t, a, b in zip(tail, lb, tb))
-                    break
-            else:
+    while True:
+        for lb, tb in basis:
+            if _divides(lb, tail):
+                tail = tuple(t - a + b for t, a, b in zip(tail, lb, tb))
                 break
-            if tail is None:
-                break
-    return (lead, tail)
+        else:
+            return (lead, tail)
 
 
 def _spair(f, g, cmp):
     lf, tf = f
     lg, tg = g
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    a = None if tf is None else tuple(t + c - l for t, c, l in zip(tf, lcm, lf))
-    b = None if tg is None else tuple(t + c - l for t, c, l in zip(tg, lcm, lg))
-    if a is None and b is None:
-        return None
-    if a is None:
-        return (b, None)
-    if b is None:
-        return (a, None)
+    a = tuple(t + c - l for t, c, l in zip(tf, lcm, lf))
+    b = tuple(t + c - l for t, c, l in zip(tg, lcm, lg))
     return _orient(b, a, cmp)
 
 
@@ -323,7 +302,7 @@ def _buchberger(gens, cmp, degree=sum):
     """
     elements = []
     for lead, tail in gens:
-        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        e = _orient(lead, tail, cmp)
         if e is not None and e not in elements:
             elements.append(e)
     basis = []
@@ -412,11 +391,7 @@ def _interreduce(keep, cmp):
 
 def _sort_key(elem):
     lead, tail = elem
-    return (sum(lead), tuple(-x for x in reversed(lead)), tail is None, tail or ())
-
-
-def _is_unit_basis(basis):
-    return any(tail is None and not any(lead) for lead, tail in basis)
+    return (sum(lead), tuple(-x for x in reversed(lead)), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +435,6 @@ class BinomialIdeal:
         return hit
 
     def _prime_cache(self, order, basis):
-        if any(tail is None for _, tail in basis):
-            raise InternalError("a pure-difference ideal cannot acquire monomial basis elements")
         return self._cache.setdefault(order.cache_key, basis)
 
     def reduced_groebner(self, order=None):
@@ -510,9 +483,9 @@ def _eliminate_marker(elems, s):
     marker-free elements truncated to the first s variables."""
     order = MonomialOrder.elimination(s + 1, (s,))
     return [
-        (lead[:s], None if tail is None else tail[:s])
+        (lead[:s], tail[:s])
         for lead, tail in _buchberger(elems, order.compare)[0]
-        if not lead[s] and (tail is None or not tail[s])
+        if not lead[s] and not tail[s]
     ]
 
 
@@ -616,8 +589,6 @@ def _saturate_by_marker(ideal: BinomialIdeal, e):
     elems = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
     elems.append((e + (1,), (0,) * (s + 1)))
     kept = _eliminate_marker(elems, s)
-    if any(tail is None for _, tail in kept):
-        raise InternalError("a saturation of a pure-difference ideal acquired a monomial")
     # the block order restricted to the surviving variables is GRevLex,
     # so the kept elements are already the reduced GRevLex basis
     return sorted(kept, key=_sort_key)
@@ -781,10 +752,7 @@ def affine_degree(ideal: BinomialIdeal):
     """
     s = ideal.ambient_dim
     order = MonomialOrder.grevlex(s)
-    basis = ideal._gb_elements(order)
-    if _is_unit_basis(basis):
-        raise PreconditionError("unit ideal has no degree")
-    leads = tuple(lead for lead, _ in basis)
+    leads = tuple(lead for lead, _ in ideal._gb_elements(order))
     num = _hilbert_numerator(leads)
     # divide by (1 - t) while the numerator vanishes at t = 1
     cancels = 0

@@ -268,8 +268,9 @@ class GpcbSyzygyData:
 
 def _gpcb_shifts(L: IntMatrix):
     """(witness b, scaled matrix L diag(b), shift vectors) of a GPCB
-    matrix. Raises when L is not GPCB, when b is not a primitive kernel
-    vector, or when a shift vector would need a negative coordinate."""
+    matrix. Raises PreconditionError when L is not GPCB; InternalError
+    when b is not a primitive kernel vector or a shift coordinate comes
+    out negative, which the witness check rules out."""
     _require_square(L)
     rep = classify(L)
     if not rep.generalized_positive:
@@ -297,8 +298,13 @@ def _gpcb_shifts(L: IntMatrix):
                     - sum(mag[k][j] for j in range(k + 1, s))
                     - sum(mag[k][j] for j in range(i + 1))
                 )
+        # row k of L diag(b) sums to 0 with a positive diagonal and a
+        # nonpositive rest, so mag[k][k] is the sum of the row's
+        # off-diagonal magnitudes; each coordinate subtracts from it a
+        # subset of them (columns k+1..i, or k+1..s-1 and 0..i, never k),
+        # so none is negative
         if any(x < 0 for x in vec):
-            raise PreconditionError(
+            raise InternalError(
                 f"shift vector {i + 1} has a negative coordinate: {tuple(vec)}"
             )
         shifts.append(tuple(vec))
@@ -307,9 +313,10 @@ def _gpcb_shifts(L: IntMatrix):
 
 def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
     """Construct the explicit relation data and verify both identities
-    by exact polynomial expansion. Raises when a shift vector would
-    need a negative coordinate or an identity fails to expand to the
-    predicted value; nothing is guessed or clamped."""
+    by exact polynomial expansion. Raises PreconditionError when L is
+    not GPCB. The identities are algebraic, so an expansion that misses
+    its predicted value is a bug and raises InternalError; nothing is
+    guessed or clamped."""
     b, scaled, shifts = _gpcb_shifts(L)
     s = L.rows
     pairs = [_column_term_pair(L, i) for i in range(s)]
@@ -335,12 +342,12 @@ def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
             else:
                 total.pop(e, None)
     if total:
-        raise PreconditionError("telescoping relation did not vanish")
+        raise InternalError("telescoping relation did not vanish")
     for i, (x, y) in enumerate(pairs):
         tail = {tuple((b[i] - 1) * v for v in y): Fraction(b[i])}
         want = poly_sub(cof[i], tail)
         if poly_mul(quo[i], gens[i]) != want:
-            raise PreconditionError(f"reduction identity failed for column {i + 1}")
+            raise InternalError(f"reduction identity failed for column {i + 1}")
 
     return GpcbSyzygyData(
         witness=tuple(b),
@@ -364,9 +371,8 @@ def gpcb_hull(L: IntMatrix) -> BinomialIdeal:
     saturation of the column ideal. By the hull theorem it equals the
     one-step polynomial colon by the distinguished element; the tests
     hold that colon as the oracle, so none is computed here. Raises
-    when L is not GPCB or a shift vector would be negative, as
-    gpcb_syzygy does; the two identities are theorems and are expanded
-    by gpcb_syzygy only."""
+    PreconditionError when L is not GPCB, as gpcb_syzygy does; the two
+    identities are theorems and are expanded by gpcb_syzygy only."""
     _gpcb_shifts(L)
     return saturate_variables(matrix_ideal(L))
 
@@ -408,8 +414,8 @@ def gpcb_embedded_component(L: IntMatrix) -> EmbeddedComponentData:
     primes, so hull : f = hull, and I : f^2 = (I : f) : f = hull : f =
     hull = I : f. The tests keep the two colons as an oracle.
 
-    Raises as gpcb_syzygy does when L is not GPCB or a shift vector
-    would be negative; the syzygy identities are not expanded here.
+    Raises PreconditionError, as gpcb_syzygy does, when L is not GPCB or
+    has fewer than 4 rows; the syzygy identities are not expanded here.
     """
     _require_square(L)
     s = L.rows

@@ -248,6 +248,22 @@ def test_human_output(capsys):
     assert not out.lstrip().startswith("{")
 
 
+def test_human_output_has_no_trailing_whitespace(capsys, tmp_path):
+    # a tree has a trivial sandpile group and identity3 spans a
+    # torsion-free lattice: both print an empty list of invariant factors
+    path = tmp_path / "path3.graph"
+    path.write_text("3\n1 2 1\n2 3 1\n")
+    for argv, empty in (
+        (("laplacian", str(path)), "sandpile_invariant_factors:"),
+        (("torsion", str(DATA / "identity3.mat")), "invariant_factors:"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert empty in lines
+        assert [line for line in lines if line != line.rstrip()] == []
+
+
 def test_human_output_renders_binomials(capsys):
     code, out, err = run(capsys, "saturate", str(DATA / "affine_curve.ideal"))
     assert code == 0

@@ -54,7 +54,7 @@ def test_parse_ideal_rows_are_vectors():
 
 
 def test_parse_ideal_rejects_zero_row():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^zero vector does not define a binomial$"):
         parse_ideal("2 1\n0 0\n")
 
 

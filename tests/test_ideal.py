@@ -210,6 +210,9 @@ def test_affine_degree_simple_cases():
     # full-rank lattice: dimension 0, degree = group order
     I = saturate_variables(_vector_ideal([(2, 0), (0, 3)]))
     assert affine_degree(I) == (0, 6)
+    # the zero ideal: the quotient is the whole polynomial ring
+    for s in range(1, 5):
+        assert affine_degree(BinomialIdeal(s, [])) == (s, 1)
 
 
 def test_vanishing_condition():
@@ -460,7 +463,7 @@ def _binomial_oracle(elems, order):
     cmp = order.compare
     basis = []
     for lead, tail in elems:
-        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        e = _orient(lead, tail, cmp)
         if e is not None and e not in basis:
             basis.append(e)
     return _groebner_chain_criterion(
@@ -591,11 +594,105 @@ def test_threads_share_one_cached_basis_and_saturation():
 # the vanishing condition by radical membership: t_j lies in the radical of
 # I + (t_i) iff adjoining t_j w - 1 and eliminating w gives the unit ideal,
 # s(s - 1) marker eliminations. The oracle for the support test.
+#
+# I + (t_i) is not a pure-difference ideal, so these eliminations use
+# element operations that also take a bare monomial t^lead, an element
+# (lead, tail) with tail None. They drive ratpoly's copy of the Buchberger
+# loop.
+
+
+def _reduce_with_monomials(elem, basis, cmp):
+    """Full normal form of elem against basis; None when it reduces to 0."""
+    from latkit.ideal import _divides, _orient
+
+    lead, tail = elem
+    while True:
+        for lb, tb in basis:
+            if _divides(lb, lead):
+                if tb is None:
+                    if tail is None:
+                        return None
+                    lead, tail = tail, None
+                else:
+                    new = tuple(l - a + b for l, a, b in zip(lead, lb, tb))
+                    if tail is None:
+                        lead = new
+                    else:
+                        pair = _orient(new, tail, cmp)
+                        if pair is None:
+                            return None
+                        lead, tail = pair
+                break
+        else:
+            break
+    if tail is not None:
+        while True:
+            for lb, tb in basis:
+                if _divides(lb, tail):
+                    if tb is None:
+                        tail = None
+                    else:
+                        tail = tuple(t - a + b for t, a, b in zip(tail, lb, tb))
+                    break
+            else:
+                break
+            if tail is None:
+                break
+    return (lead, tail)
+
+
+def _spair_with_monomials(f, g, cmp):
+    from latkit.ideal import _orient
+
+    lf, tf = f
+    lg, tg = g
+    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+    a = None if tf is None else tuple(t + c - l for t, c, l in zip(tf, lcm, lf))
+    b = None if tg is None else tuple(t + c - l for t, c, l in zip(tg, lcm, lg))
+    if a is None and b is None:
+        return None
+    if a is None:
+        return (b, None)
+    if b is None:
+        return (a, None)
+    return _orient(b, a, cmp)
+
+
+def _sort_key_with_monomials(elem):
+    lead, tail = elem
+    return (sum(lead), tuple(-x for x in reversed(lead)), tail is None, tail or ())
+
+
+def _eliminate_marker_with_monomials(elems, s):
+    """The marker-free part of the reduced basis of elems (binomials and
+    monomials in s + 1 variables) under the order eliminating the last
+    variable, truncated to the first s variables."""
+    import operator
+
+    from latkit.ideal import _orient
+    from ratpoly import _groebner
+
+    cmp = MonomialOrder.elimination(s + 1, (s,)).compare
+    basis = []
+    for lead, tail in elems:
+        e = (lead, tail) if tail is None else _orient(lead, tail, cmp)
+        if e is not None and e not in basis:
+            basis.append(e)
+    reduced, _ = _groebner(
+        basis,
+        operator.itemgetter(0),
+        lambda f, g: _spair_with_monomials(f, g, cmp),
+        lambda e, others: _reduce_with_monomials(e, others, cmp),
+        _sort_key_with_monomials,
+    )
+    return [
+        (lead[:s], None if tail is None else tail[:s])
+        for lead, tail in reduced
+        if not lead[s] and (tail is None or not tail[s])
+    ]
 
 
 def _vanishing_condition_by_elimination(ideal):
-    from latkit.ideal import _eliminate_marker, _is_unit_basis
-
     s = ideal.ambient_dim
     base = [(g.plus + (0,), g.minus + (0,)) for g in ideal.generators]
     unit = [tuple(int(k == i) for k in range(s + 1)) for i in range(s)]
@@ -605,7 +702,8 @@ def _vanishing_condition_by_elimination(ideal):
                 continue
             marker = unit[j][:s] + (1,)
             elems = base + [(unit[i], None), (marker, (0,) * (s + 1))]
-            if not _is_unit_basis(_eliminate_marker(elems, s)):
+            # the unit ideal: the constant monomial 1 is in the basis
+            if ((0,) * s, None) not in _eliminate_marker_with_monomials(elems, s):
                 return False
     return True
 

@@ -363,6 +363,7 @@ planted(m, "strongly_connected", lambda G: True, lambda: m.check_transpose_theor
 planted(m, "adjoint", lambda L: IntMatrix([[-x for x in r] for r in adjoint(L).to_rows()]),
         lambda: m.gcb_vanishing_equivalence(k211))
 planted(m, "is_lattice_ideal", lambda I: True, lambda: m.analyze_2x2(IntMatrix([[3, -2], [-3, 2]])))
+planted(m, "poly_mul", lambda p, q: {(0, 0, 1): 1}, lambda: m.gpcb_syzygy(k211))
 planted(c, "poly_mul", lambda p, q: {(0, 0, 1): 1}, lambda: c.cb_properties_check(triangle))
 planted(c, "_critical_data", doubled, lambda: c.cb_structure(torsion2))
 planted(d, "_totient", lambda n: 1, lambda: d.rational_orbit_report(torsion3))
@@ -373,6 +374,7 @@ planted(d, "product", lambda *ranges: [(0,)] * 2, lambda: len(d.symbolic_decompo
         "InternalError strongly connected GCB transpose statement failed",
         "InternalError the three GCB conditions disagree: True, True, False",
         "InternalError lattice-ideal verdict True, but principal is False",
+        "InternalError telescoping relation did not vanish",
         "InternalError the cyclic syzygies must expand to zero",
         "InternalError the assembled matrix must generate the same column lattice",
         "InternalError orbit sizes do not sum to the torsion order 3",
