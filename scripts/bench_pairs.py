@@ -19,7 +19,8 @@ runs of each side, their median and quartiles
 won (ties count for neither side) and the ratio of the medians; per
 traced workload the record of each traced run and the same summary of
 every per-layer metric, the two traced runs of a side paired in the
-order they ran. It is rewritten after every pair and traced run, so an
+order they ran. Values and ratios keep 6 significant digits and counts
+stay exact. It is rewritten after every pair and traced run, so an
 interrupted comparison keeps what it measured.
 """
 
@@ -54,9 +55,15 @@ def git_commit(checkout):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def sig(value):
+    """value to 6 significant digits, so that a sub-millisecond time keeps
+    its resolution; counts stay exact ints."""
+    return value if isinstance(value, int) else float(f"{value:.6g}")
+
+
 def summary(runs):
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
-    return {"runs": runs, "median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+    return {"runs": runs, "median": sig(median), "q1": sig(q1), "q3": sig(q3)}
 
 
 def metric_entry(spec, parent_runs, change_runs):
@@ -67,7 +74,7 @@ def metric_entry(spec, parent_runs, change_runs):
              "change_wins": f"{wins}/{len(change_runs)}"}
     # a layer that a workload never calls reads 0 on both sides
     parent_median = entry["parent"]["median"]
-    entry["median_ratio"] = round(entry["change"]["median"] / parent_median, 4) if parent_median else None
+    entry["median_ratio"] = sig(entry["change"]["median"] / parent_median) if parent_median else None
     return entry
 
 
@@ -84,7 +91,7 @@ def workload_entry(name, seed, seconds, specs, results):
     }
     for spec in specs:
         runs = {
-            side: [round(r["metrics"][spec["name"]]["value"], 4) for r in results[side]]
+            side: [sig(r["metrics"][spec["name"]]["value"]) for r in results[side]]
             for side in SIDES
         }
         entry["metrics"][spec["name"]] = metric_entry(spec, runs["parent"], runs["change"])
@@ -104,7 +111,7 @@ def traced_entry(specs, records):
     }
     for spec in specs if n else ():
         runs = {
-            side: [round(r["metrics"][spec["name"]]["value"], 4) for r in records[side][:n]]
+            side: [sig(r["metrics"][spec["name"]]["value"]) for r in records[side][:n]]
             for side in SIDES
         }
         entry["metrics"][spec["name"]] = metric_entry(spec, runs["parent"], runs["change"])

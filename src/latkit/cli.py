@@ -32,6 +32,7 @@ import shlex
 import sys
 import time
 from contextlib import redirect_stdout
+from dataclasses import asdict
 
 from . import fileformats
 from .cb3 import DEFAULT_EXPONENT_CAP, cb_properties_check, cb_structure, find_hull_gcb3
@@ -179,13 +180,7 @@ def _cmd_degree(args):
         if args.grading is not None:
             d = _parse_grading(args.grading, lat.ambient_dim)
             return {"degree": degree_graded_dim1(lat, d), "grading": list(d)}
-        br = degree_lattice_breakdown(lat)
-        return {
-            "degree": br.degree,
-            "torsion_order": br.torsion_order,
-            "normalized_volume": br.normalized_volume,
-            "defining_torsion": br.defining_torsion,
-        }
+        return asdict(degree_lattice_breakdown(lat))
     if args.grading is not None:
         raise ParseError("--grading only applies to `degree lattice`")
     if args.kind == "toric":
@@ -223,26 +218,14 @@ def _cmd_hull(args):
 
 def _cmd_classify(args):
     mat = fileformats.parse_matrix(_read_input(args.file))
-    rep = classify(mat)
-    return {
-        "pure_binomial": rep.pure_binomial,
-        "full_support_binomial": rep.full_support_binomial,
-        "critical": rep.critical,
-        "positive_critical": rep.positive_critical,
-        "generalized_critical": rep.generalized_critical,
-        "generalized_positive": rep.generalized_positive,
-        "right_kernel_witness": list(rep.right_kernel_witness)
-        if rep.right_kernel_witness
-        else None,
-        "left_kernel_witness": list(rep.left_kernel_witness)
-        if rep.left_kernel_witness
-        else None,
-    }
+    return asdict(classify(mat))
 
 
 def _cmd_laplacian(args):
     graph = fileformats.parse_graph(_read_input(args.file))
     if args.digraph:
+        if args.full_report:
+            raise ParseError("--full-report does not apply to --digraph")
         if not isinstance(graph, WeightedDigraph):
             raise ParseError("--digraph needs a file with `i > j w` arc lines")
         L = laplacian_digraph(graph)
@@ -308,15 +291,7 @@ def _cmd_cb3(args):
             "matrix": _matrix_entry(M),
             "hull_generators": _ideal_entries(hull),
         }
-    mat = fileformats.parse_matrix(text)
-    rep = cb_properties_check(mat)
-    return {
-        "syzygies_hold": rep.syzygies_hold,
-        "lattice_ideal": rep.lattice_ideal,
-        "unmixed": rep.unmixed,
-        "minimal_generators": rep.minimal_generators,
-        "complete_intersection": rep.complete_intersection,
-    }
+    return asdict(cb_properties_check(fileformats.parse_matrix(text)))
 
 
 def _cmd_volume(args):

@@ -151,6 +151,14 @@ def test_laplacian_digraph_flag_mismatch(capsys):
     assert code == 2
 
 
+def test_laplacian_digraph_full_report_rejected(capsys):
+    # the report is for undirected graphs; the flag is not silently dropped
+    code, out, err = run(
+        capsys, "laplacian", str(DATA / "demo4_digraph.graph"), "--digraph", "--full-report", "--json"
+    )
+    assert (code, out, err) == (2, "", "error: --full-report does not apply to --digraph\n")
+
+
 def test_decompose(capsys):
     p = run_json(capsys, "decompose", str(DATA / "torsion2.lat"))
     assert p["torsion_order"] == "2"

@@ -244,14 +244,35 @@ def test_report_runs_one_grevlex_buchberger(monkeypatch):
     for G in (demo_graph(), complete_graph(5)):
         runs.clear()
         laplacian_report(G)
-        # the generator count's run on I; affine_degree, the saturation and
-        # is_lattice_ideal read its basis, and the toppling ideal's basis
-        # comes from the saturation
+        # the generator count's run on I; the saturation and
+        # is_lattice_ideal read its basis, and the toppling ideal's basis,
+        # which its degree reads, comes from the saturation
         assert runs == [sorted(matrix_ideal(laplacian(G))._elements())]
 
 
+def test_report_runs_one_hilbert_numerator(monkeypatch):
+    import latkit.ideal as ideal_module
+    from latkit.ideal import MonomialOrder
+
+    seen = []
+    numerator = ideal_module._hilbert_numerator
+
+    def recorded(leads):
+        seen.append(leads)
+        return numerator(leads)
+
+    monkeypatch.setattr(ideal_module, "_hilbert_numerator", recorded)
+    for G in (demo_graph(), complete_graph(5), path_graph(4)):
+        seen.clear()
+        top = _laplacian_report(G)[1]
+        # deg I is the sandpile order; only the toppling ideal's degree is
+        # computed, from its GRevLex leads
+        order = MonomialOrder.grevlex(G.vertex_count)
+        assert seen == [tuple(lead for lead, _ in top._gb_elements(order))]
+
+
 def test_report_degree_check_raises_internal_error_under_optimize():
-    # a planted off-by-one Laplacian ideal degree must still be caught
+    # a planted off-by-one toppling ideal degree must still be caught
     # when asserts are stripped
     code = (
         "import latkit.graphs as graphs\n"
@@ -267,7 +288,7 @@ def test_report_degree_check_raises_internal_error_under_optimize():
     )
     assert run_optimized(code).split("\n") == [
         "3",
-        "degrees 4 (Laplacian ideal), 4 (toppling ideal) differ from the sandpile group order 3",
+        "toppling ideal of dimension 1 and degree 4, not 1 and the sandpile group order 3",
     ]
 
 
@@ -313,13 +334,21 @@ def _seeded_graphs():
 
 def test_toppling_ideal_is_the_report_hull():
     # the paper's theorem: the hull of the Laplacian ideal is the ideal of
-    # the connected cuts. Manjunath and Sturmfels ("Monomials, binomials and
-    # Riemann-Roch", J. Algebraic Combin. 37, 2013): no cut binomial is
-    # redundant
+    # the connected cuts, and the degree of the Laplacian ideal is the
+    # sandpile order, which the report gives without computing it
+    # (Perkinson, Perlman and Wilmes, arXiv:1112.6163). Manjunath and
+    # Sturmfels ("Monomials, binomials and Riemann-Roch", J. Algebraic
+    # Combin. 37, 2013): no cut binomial is redundant. The report reads
+    # each column's support size off the vertex degrees
     pool, seeded = _pool_graphs(), _seeded_graphs()
     assert (len(pool), len(seeded)) == (129, 309)
     for G in pool + seeded:
-        top, hull = toppling_ideal(G), _laplacian_report(G)[1]
+        rep, hull, _ = _laplacian_report(G)
+        I = matrix_ideal(laplacian(G))
+        assert affine_degree(I) == (1, rep.laplacian_ideal_degree), G.edges
+        supports = tuple(sum(1 for x in g.vector if x) for g in I.generators)
+        assert supports == rep.column_support_sizes, G.edges
+        top = toppling_ideal(G)
         assert top.generators == hull.generators, G.edges
         assert top.reduced_groebner() == hull.reduced_groebner()
         assert top == hull

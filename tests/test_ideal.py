@@ -1206,6 +1206,9 @@ def test_hilbert_numerator_matches_generator_pivot_oracle_tier1(monkeypatch):
     suite_degree_oracle()
     for G in (demo_graph(), complete_graph(3), complete_graph(4), complete_graph(5)):
         laplacian_report(G)
+        # the report takes deg I from the sandpile order; the numerator of
+        # I's leads is still checked here
+        affine_degree(matrix_ideal(laplacian(G)))
     # the graphs of test_graphs.test_sandpile_degree_matches_tree_count_random
     rng = random.Random(31415)
     for _ in range(8):
