@@ -10,7 +10,9 @@ first, pair 2 the change first, and so on). Each `--trace NAME` adds two
 traced runs (`--trace 1`, seed 1) per side, in the order parent, change,
 change, parent, so that a drift in machine load reaches both sides alike.
 Both checkouts run with this interpreter for the `run_seconds` of the
-change's BENCHMARK.json.
+change's BENCHMARK.json. `<side>_commit` is the HEAD a clean checkout
+runs and null for one with uncommitted changes, which `<side>_dirty`
+marks (see git_state).
 
 The output, `BENCH_<label>.json` in the change checkout unless `--out`
 says otherwise, holds every run: per workload and end-to-end metric the
@@ -50,9 +52,37 @@ def run_bench(checkout, workload, seed, seconds, trace):
     return json.loads(record.read_text())
 
 
-def git_commit(checkout):
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+# untracked files under these directories change what a run measures
+SOURCE_DIRS = ("src/", "perfbench/", "scripts/")
+
+
+def git_state(checkout, out):
+    """(commit, dirty) of a checkout: HEAD and False when the checkout is
+    HEAD exactly, None and True when it is not, None and None outside a
+    git repository. A checkout is dirty when a tracked file differs from
+    HEAD or an untracked file lies in SOURCE_DIRS; the BENCH file out and
+    the runs' .perfbench_out/ do not count."""
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return done.stdout if done.returncode == 0 else None
+
+    head, top = git("rev-parse", "HEAD"), git("rev-parse", "--show-toplevel")
+    status = git("status", "--porcelain", "-z", "--untracked-files=all")
+    if head is None or top is None or status is None:
+        return None, None
+    top = Path(top.strip()).resolve()
+    skip = {out.resolve().relative_to(top).as_posix()} if out.resolve().is_relative_to(top) else set()
+    # entries are "XY path"; a rename or copy is followed by its old path
+    entries = iter(status.split("\0"))
+    for entry in entries:
+        code, path = entry[:2], entry[3:]
+        if code[:1] in ("R", "C"):
+            next(entries)
+        if not entry or path in skip or path.startswith(".perfbench_out/"):
+            continue
+        if code != "??" or path.startswith(SOURCE_DIRS):
+            return None, True
+    return head.strip(), False
 
 
 def sig(value):
@@ -140,11 +170,10 @@ def main(argv=None):
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     specs, seconds = declared["end_to_end"], declared["run_seconds"]
     out = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
-    bench = {
-        "label": args.label,
-        "change": args.note,
-        "parent_commit": git_commit(checkouts["parent"]),
-        "change_commit": git_commit(checkouts["change"]),
+    bench = {"label": args.label, "change": args.note}
+    for side in SIDES:
+        bench[f"{side}_commit"], bench[f"{side}_dirty"] = git_state(checkouts[side], out)
+    bench.update({
         "machine": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}, "
                    "one process per run",
         "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {seconds} "
@@ -161,7 +190,7 @@ def main(argv=None):
                     "parent, change, change, parent; change_wins pairs the first runs of the "
                     "two sides and then the second runs",
         },
-    }
+    })
     if args.claim:
         name, seed, metric = args.claim.split(":")
         bench["claimed"] = {"workload": name, "seed": int(seed), "metric": metric}

@@ -52,7 +52,6 @@ from .graphs import (
     laplacian,
     laplacian_digraph,
     sandpile_group,
-    spanning_tree_count,
 )
 from .ideal import Binomial, BinomialIdeal, affine_degree, matrix_ideal, saturate_variables
 from .lattice import Lattice, critical_group, torsion_order
@@ -246,7 +245,8 @@ def _cmd_laplacian(args):
         "laplacian": _matrix_entry(L),
         "sandpile_invariant_factors": list(group.invariant_factors),
         "sandpile_order": group.order,
-        "spanning_trees": spanning_tree_count(graph),
+        # the weighted matrix-tree theorem: the tree count is the order
+        "spanning_trees": group.order,
     }
     if args.full_report:
         payload.update(

@@ -452,11 +452,12 @@ class BinomialIdeal:
         return _reduce_element((binomial.plus, binomial.minus), basis, order.compare) is None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BinomialIdeal)
-            and self.ambient_dim == other.ambient_dim
-            and self.reduced_groebner() == other.reduced_groebner()
-        )
+        # Binomial(lead, tail) keeps a GRevLex-oriented pair as it is, so
+        # this compares the reduced GRevLex bases
+        if not isinstance(other, BinomialIdeal) or self.ambient_dim != other.ambient_dim:
+            return False
+        order = MonomialOrder.grevlex(self.ambient_dim)
+        return self._gb_elements(order) == other._gb_elements(order)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.reduced_groebner()))
@@ -518,7 +519,7 @@ def saturate_variables(ideal: BinomialIdeal) -> BinomialIdeal:
 
 
 def is_lattice_ideal(ideal: BinomialIdeal) -> bool:
-    return ideal.reduced_groebner() == saturate_variables(ideal).reduced_groebner()
+    return ideal == saturate_variables(ideal)
 
 
 def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:

@@ -359,18 +359,12 @@ def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
     )
 
 
-def _distinguished_element(data: GpcbSyzygyData):
-    """t^shifts[s-1] * cofactors[s-1]: the single polynomial whose
-    colon against the column ideal produces the hull."""
-    shift = {data.shifts[-1]: Fraction(1)}
-    return poly_mul(shift, data.cofactors[-1])
-
-
 def gpcb_hull(L: IntMatrix) -> BinomialIdeal:
     """Lattice ideal of the column lattice of a GPCB matrix: the
     saturation of the column ideal. By the hull theorem it equals the
-    one-step polynomial colon by the distinguished element; the tests
-    hold that colon as the oracle, so none is computed here. Raises
+    one-step polynomial colon by the distinguished element
+    t^shifts[s-1] * cofactors[s-1] of gpcb_syzygy; the tests hold that
+    colon as the oracle, so none is computed here. Raises
     PreconditionError when L is not GPCB, as gpcb_syzygy does; the two
     identities are theorems and are expanded by gpcb_syzygy only."""
     _gpcb_shifts(L)

@@ -21,6 +21,7 @@ from latkit import (
     saturate_variables,
     spanning_tree_count,
     toppling_ideal,
+    vanishing_condition,
 )
 from latkit.graphs import _connected_cuts, _laplacian_report
 
@@ -244,43 +245,50 @@ def test_report_runs_one_grevlex_buchberger(monkeypatch):
     for G in (demo_graph(), complete_graph(5)):
         runs.clear()
         laplacian_report(G)
-        # the generator count's run on I; the saturation and
-        # is_lattice_ideal read its basis, and the toppling ideal's basis,
-        # which its degree reads, comes from the saturation
+        # the generator count's run on I; the saturation divides its
+        # basis by t_s, and is_lattice_ideal compares the two cached bases
         assert runs == [sorted(matrix_ideal(laplacian(G))._elements())]
 
 
-def test_report_runs_one_hilbert_numerator(monkeypatch):
+def test_report_runs_no_hilbert_numerator_and_one_vanishing_test(monkeypatch):
     import latkit.ideal as ideal_module
-    from latkit.ideal import MonomialOrder
 
-    seen = []
+    numerators = []
+    vanishing = []
     numerator = ideal_module._hilbert_numerator
+    condition = ideal_module.vanishing_condition
 
-    def recorded(leads):
-        seen.append(leads)
+    def recorded_numerator(leads):
+        numerators.append(leads)
         return numerator(leads)
 
-    monkeypatch.setattr(ideal_module, "_hilbert_numerator", recorded)
+    def recorded_condition(ideal):
+        vanishing.append(ideal)
+        return condition(ideal)
+
+    monkeypatch.setattr(ideal_module, "_hilbert_numerator", recorded_numerator)
+    monkeypatch.setattr(ideal_module, "vanishing_condition", recorded_condition)
     for G in (demo_graph(), complete_graph(5), path_graph(4)):
-        seen.clear()
-        top = _laplacian_report(G)[1]
-        # deg I is the sandpile order; only the toppling ideal's degree is
-        # computed, from its GRevLex leads
-        order = MonomialOrder.grevlex(G.vertex_count)
-        assert seen == [tuple(lead for lead, _ in top._gb_elements(order))]
+        numerators.clear()
+        vanishing.clear()
+        laplacian_report(G)
+        # both degrees are the sandpile order, and the vanishing condition
+        # is the theorem's; only the saturation tests it, to take the t_s
+        # division
+        assert numerators == []
+        assert [I.generators for I in vanishing] == [matrix_ideal(laplacian(G)).generators]
 
 
-def test_report_degree_check_raises_internal_error_under_optimize():
-    # a planted off-by-one toppling ideal degree must still be caught
-    # when asserts are stripped
+def test_report_generator_count_check_raises_internal_error_under_optimize():
+    # a planted off-by-one generator count must still be caught when
+    # asserts are stripped
     code = (
         "import latkit.graphs as graphs\n"
         "from latkit import InternalError, WeightedGraph\n"
-        "real = graphs.affine_degree\n"
+        "real = graphs.minimal_generator_count\n"
         "G = WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])\n"
-        "print(graphs.laplacian_report(G).laplacian_ideal_degree)\n"
-        "graphs.affine_degree = lambda I: (real(I)[0], real(I)[1] + 1)\n"
+        "print(graphs.laplacian_report(G).minimal_generators)\n"
+        "graphs.minimal_generator_count = lambda I, d: real(I, d) + 1\n"
         "try:\n"
         "    graphs.laplacian_report(G)\n"
         "except InternalError as exc:\n"
@@ -288,7 +296,7 @@ def test_report_degree_check_raises_internal_error_under_optimize():
     )
     assert run_optimized(code).split("\n") == [
         "3",
-        "toppling ideal of dimension 1 and degree 4, not 1 and the sandpile group order 3",
+        "generator count must equal the vertex count",
     ]
 
 
@@ -333,19 +341,22 @@ def _seeded_graphs():
 
 
 def test_toppling_ideal_is_the_report_hull():
-    # the paper's theorem: the hull of the Laplacian ideal is the ideal of
-    # the connected cuts, and the degree of the Laplacian ideal is the
-    # sandpile order, which the report gives without computing it
-    # (Perkinson, Perlman and Wilmes, arXiv:1112.6163). Manjunath and
-    # Sturmfels ("Monomials, binomials and Riemann-Roch", J. Algebraic
-    # Combin. 37, 2013): no cut binomial is redundant. The report reads
-    # each column's support size off the vertex degrees
+    # the paper's theorems: the hull of the Laplacian ideal is the ideal of
+    # the connected cuts, the Laplacian ideal satisfies the vanishing
+    # condition, and it and its hull have the sandpile order as degree,
+    # which the report gives without computing it (Perkinson, Perlman and
+    # Wilmes, arXiv:1112.6163). Manjunath and Sturmfels ("Monomials,
+    # binomials and Riemann-Roch", J. Algebraic Combin. 37, 2013): no cut
+    # binomial is redundant. The report reads each column's support size
+    # off the vertex degrees
     pool, seeded = _pool_graphs(), _seeded_graphs()
     assert (len(pool), len(seeded)) == (129, 309)
     for G in pool + seeded:
         rep, hull, _ = _laplacian_report(G)
         I = matrix_ideal(laplacian(G))
         assert affine_degree(I) == (1, rep.laplacian_ideal_degree), G.edges
+        assert affine_degree(hull) == (1, rep.toppling_ideal_degree), G.edges
+        assert vanishing_condition(I) and rep.vanishing_condition, G.edges
         supports = tuple(sum(1 for x in g.vector if x) for g in I.generators)
         assert supports == rep.column_support_sizes, G.edges
         top = toppling_ideal(G)

@@ -381,6 +381,24 @@ def test_saturate_variables_is_saturation_by_the_variable_product():
         assert sat == seq
 
 
+def test_equality_and_lattice_test_match_reduced_basis_comparison():
+    # the oracle compares the rebuilt Binomial tuples of the two reduced
+    # GRevLex bases; __eq__ compares the cached (lead, tail) lists
+    def same(a, b):
+        return a.ambient_dim == b.ambient_dim and a.reduced_groebner() == b.reduced_groebner()
+
+    ideals = _random_ideals(1618, 25)
+    sats = [saturate_variables(ideal) for ideal in ideals]
+    copies = [BinomialIdeal(i.ambient_dim, i.reduced_groebner()) for i in ideals]
+    pool = ideals + sats + copies
+    for a in pool:
+        for b in pool:
+            assert (a == b) == same(a, b), (a, b)
+    flags = [is_lattice_ideal(i) for i in ideals]
+    assert flags == [same(i, sat) for i, sat in zip(ideals, sats)]
+    assert any(flags) and not all(flags)
+
+
 # ---------------------------------------------------------------------------
 # Buchberger's loop with the chain criterion in place of the
 # Gebauer-Moeller pair update: every pair enters the heap, and the chain

@@ -26,7 +26,7 @@ from latkit import (
     underlying_digraph,
 )
 
-from latkit.matclass import _distinguished_element
+from latkit._genpoly import poly_mul
 
 from exampledata import (
     DENSE_PCB_4X4,
@@ -165,11 +165,17 @@ def test_syzygy_degenerates_for_unit_witness():
     assert data.shifts[3] == (0, 1, 2, 0)
 
 
+def distinguished_element(data):
+    """t^shifts[s-1] * cofactors[s-1] of gpcb_syzygy's data: the single
+    polynomial whose colon against the column ideal produces the hull."""
+    return poly_mul({data.shifts[-1]: Fraction(1)}, data.cofactors[-1])
+
+
 def colon_hull(L):
     """The hull as the one-step colon of the column ideal by the
     distinguished element, in the rational-polynomial engine."""
     gens = [poly_from_binomial(g) for g in matrix_ideal(L).generators]
-    return colon_by_poly(gens, _distinguished_element(gpcb_syzygy(L)), L.rows)
+    return colon_by_poly(gens, distinguished_element(gpcb_syzygy(L)), L.rows)
 
 
 def assert_hull_is_colon(L, hull):
@@ -183,7 +189,7 @@ def assert_hull_is_colon(L, hull):
 def assert_colon_stabilizes(L, colon):
     """I : f == I : f^2, the condition of the decomposition theorem,
     given colon = I : f."""
-    f = _distinguished_element(gpcb_syzygy(L))
+    f = distinguished_element(gpcb_syzygy(L))
     assert ideals_equal(colon, colon_by_poly(colon, f, L.rows), L.rows), L.to_rows()
 
 
@@ -294,7 +300,7 @@ def test_random_gpcb_transpose_closure():
         colon = assert_hull_is_colon(L, gpcb_hull(L))
         if s == 4:
             comp = gpcb_embedded_component(L)
-            assert comp.extra_generator == _distinguished_element(gpcb_syzygy(L))
+            assert comp.extra_generator == distinguished_element(gpcb_syzygy(L))
             assert_hull_meets_component(comp)
             assert_colon_stabilizes(L, colon)
 
@@ -304,7 +310,7 @@ def test_random_gpcb_embedded_component_five_variables():
     for _ in range(4):
         L, b = random_gpcb(rng, 5)
         comp = gpcb_embedded_component(L)
-        assert comp.extra_generator == _distinguished_element(gpcb_syzygy(L)), b
+        assert comp.extra_generator == distinguished_element(gpcb_syzygy(L)), b
         assert comp.hull == saturate_variables(matrix_ideal(L))
         assert_colon_stabilizes(L, assert_hull_is_colon(L, comp.hull))
 
