@@ -18,7 +18,11 @@ The output, `BENCH_<label>.json` in the change checkout unless `--out`
 says otherwise, holds every run: per workload and end-to-end metric the
 runs of each side, their median and quartiles
 (`statistics.quantiles(n=4, method="inclusive")`), the pairs the change
-won (ties count for neither side) and the ratio of the medians; per
+won (ties count for neither side) and the ratio of the medians, and, for
+a metric with a `bound` in BENCHMARK.json, two flags: `unresolved` when
+the parent's (q3 - q1) / median exceeds the bound and not every change
+run beats every parent run, `worse_than_bound` when the change median is
+worse than the parent median by more than bound * parent median; per
 traced workload the record of each traced run and the same summary of
 every per-layer metric, the two traced runs of a side paired in the
 order they ran. Values and ratios keep 6 significant digits and counts
@@ -105,6 +109,14 @@ def metric_entry(spec, parent_runs, change_runs):
     # a layer that a workload never calls reads 0 on both sides
     parent_median = entry["parent"]["median"]
     entry["median_ratio"] = sig(entry["change"]["median"] / parent_median) if parent_median else None
+    if "bound" in spec:  # end-to-end metrics only
+        bound, spread = spec["bound"], entry["parent"]["q3"] - entry["parent"]["q1"]
+        beats_all = (min(change_runs) > max(parent_runs) if higher
+                     else max(change_runs) < min(parent_runs))
+        entry["unresolved"] = spread > bound * parent_median and not beats_all
+        change_median = entry["change"]["median"]
+        loss = parent_median - change_median if higher else change_median - parent_median
+        entry["worse_than_bound"] = loss > bound * parent_median
     return entry
 
 

@@ -72,14 +72,13 @@ def _snf_character_data(lat: Lattice):
     """Shared setup: invariant factors gamma_1..gamma_{s-1}, the first
     s-1 rows of P, and the positive grading read off the last row."""
     s = lat.ambient_dim
-    if lat.rank != s - 1:
+    # no generators is rank 0; generator_matrix() rejects it when s = 1
+    dec = smith_normal_form(lat.generator_matrix()) if lat.generators or s == 1 else None
+    if dec is None or dec.rank != s - 1:
         raise PreconditionError(
-            f"lattice rank is {lat.rank}, need {s - 1} for a dimension-1 decomposition"
+            f"lattice rank is {dec.rank if dec else 0}, need {s - 1} for a dimension-1 decomposition"
         )
-    dec = smith_normal_form(lat.generator_matrix())
     gammas = dec.gamma
-    if len(gammas) != s - 1:
-        raise InternalError(f"rank {s - 1} lattice has {len(gammas)} invariant factors")
     rows = tuple(dec.P.row(k) for k in range(s - 1))
     last = dec.P.row(s - 1)
     if all(x > 0 for x in last):

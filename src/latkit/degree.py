@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalError, PreconditionError
-from .exactmat import IntMatrix, _signed_minors, invariant_factors, minor_gcd
+from .exactmat import IntMatrix, _check_int, _signed_minors, minor_gcd
 from .ideal import matrix_ideal, vanishing_condition
 from .lattice import Lattice, defining_matrix, grading_vector, torsion_order
-from .volume import normalized_volume
+from .volume import LatticePolytope
 
 __all__ = [
     "degree_toric",
@@ -30,21 +30,20 @@ __all__ = [
 ]
 
 
-def _column_torsion(mat: IntMatrix) -> int:
-    """|T(Z^rows / column lattice)|: product of the invariant factors."""
-    out = 1
-    for g in invariant_factors(mat):
-        out *= g
-    return out
+def _volume_and_torsion(mat: IntMatrix) -> tuple:
+    """(normalized volume of conv(0, columns), |T(Z^rows / column
+    lattice)|) from one Smith form: the torsion is the polytope's
+    lattice_index, since the differences from 0 are the distinct
+    nonzero columns and span the column lattice."""
+    poly = LatticePolytope([(0,) * mat.rows] + [mat.column(j) for j in range(mat.cols)])
+    return poly.normalized_volume(), poly.lattice_index
 
 
 def degree_toric(V: IntMatrix) -> int:
     """Degree of the toric ideal of the point configuration given by the
     columns of V: normalized volume of conv(0, columns) divided by the
     torsion of the column group."""
-    points = [(0,) * V.rows] + [V.column(j) for j in range(V.cols)]
-    vol = normalized_volume(points)
-    tor = _column_torsion(V)
+    vol, tor = _volume_and_torsion(V)
     if vol % tor:
         raise InternalError(f"normalized volume {vol} is not divisible by the column torsion {tor}")
     return vol // tor
@@ -69,10 +68,7 @@ def degree_lattice_breakdown(lat: Lattice) -> DegreeBreakdown:
     tor = torsion_order(lat)
     if r == s:
         return DegreeBreakdown(tor, tor, None, None)
-    A = defining_matrix(lat)
-    points = [(0,) * A.rows] + [A.column(j) for j in range(A.cols)]
-    vol = normalized_volume(points)
-    dtor = _column_torsion(A)
+    vol, dtor = _volume_and_torsion(defining_matrix(lat))
     if (tor * vol) % dtor:
         raise InternalError(f"defining torsion {dtor} does not divide {tor} * {vol}")
     return DegreeBreakdown(tor * vol // dtor, tor, vol, dtor)
@@ -85,7 +81,7 @@ def degree_lattice(lat: Lattice) -> int:
 def degree_graded_dim1(lat: Lattice, d) -> int:
     """Degree of a graded dimension-1 lattice ideal:
     max(d) * torsion / gcd(d)."""
-    d = tuple(int(x) for x in d)
+    d = tuple(map(_check_int, d))
     s = lat.ambient_dim
     if len(d) != s or any(x <= 0 for x in d):
         raise PreconditionError("grading must be a strictly positive vector")

@@ -333,12 +333,6 @@ def rank(mat: IntMatrix) -> int:
     return len(_echelon(mat.to_rows())[0])
 
 
-def _row_rank(rows) -> int:
-    """Rank of integer rows, the pivot count of their Bareiss
-    elimination; no rows, or rows of length 0, give 0."""
-    return len(_echelon([list(r) for r in rows])[0])
-
-
 def minor_gcd(mat: IntMatrix, i: int) -> int:
     """gcd of all i x i minors; 0 when every such minor vanishes."""
     if i < 1 or i > min(mat.rows, mat.cols):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalError, PreconditionError
-from .exactmat import IntMatrix, determinant
+from .exactmat import IntMatrix, _check_int, determinant
 from .ideal import BinomialIdeal, matrix_ideal, saturate_variables, is_lattice_ideal, \
     minimal_generator_count, _lattice_ideal_of
 from .lattice import FiniteAbelianGroup, Lattice, critical_group
@@ -45,7 +45,7 @@ class WeightedGraph:
             raise ValueError("need at least one vertex")
         norm = {}
         for i, j, w in edges:
-            i, j, w = int(i), int(j), int(w)
+            i, j, w = map(_check_int, (i, j, w))
             if i == j:
                 raise ValueError("loops are not allowed")
             if not (0 <= i < vertex_count and 0 <= j < vertex_count):
@@ -88,7 +88,7 @@ class WeightedDigraph:
             raise ValueError("need at least one vertex")
         norm = {}
         for i, j, w in arcs:
-            i, j, w = int(i), int(j), int(w)
+            i, j, w = map(_check_int, (i, j, w))
             if i == j and not allow_loops:
                 raise ValueError("loops are not allowed")
             if not (0 <= i < vertex_count and 0 <= j < vertex_count):

@@ -18,7 +18,7 @@ import math
 import operator
 
 from .errors import InternalError, IterationLimitError, PreconditionError
-from .exactmat import IntMatrix
+from .exactmat import IntMatrix, _check_int
 
 __all__ = [
     "Monomial",
@@ -36,16 +36,9 @@ __all__ = [
 ]
 
 
-def format_monomial(exponents, names=None):
-    if not any(exponents):
-        return "1"
-    parts = []
-    for i, e in enumerate(exponents):
-        if e == 0:
-            continue
-        name = names[i] if names else f"t{i + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def format_monomial(exponents):
+    parts = (f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(exponents) if e)
+    return "*".join(parts) or "1"
 
 
 class Monomial:
@@ -54,7 +47,7 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        exps = tuple(int(x) for x in exponents)
+        exps = tuple(map(_check_int, exponents))
         if any(x < 0 for x in exps):
             raise ValueError("monomial exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
@@ -172,8 +165,8 @@ class Binomial:
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus, minus):
-        p = tuple(int(x) for x in plus)
-        m = tuple(int(x) for x in minus)
+        p = tuple(map(_check_int, plus))
+        m = tuple(map(_check_int, minus))
         if len(p) != len(m):
             raise ValueError("exponent length mismatch")
         if any(x < 0 for x in p + m):
@@ -190,7 +183,7 @@ class Binomial:
 
     @classmethod
     def from_vector(cls, vector):
-        v = tuple(int(x) for x in vector)
+        v = tuple(map(_check_int, vector))
         if not any(v):
             raise ValueError("zero vector does not define a binomial")
         plus = tuple(x if x > 0 else 0 for x in v)
@@ -539,7 +532,7 @@ def _saturate_by_monomial(ideal: BinomialIdeal, exponent) -> BinomialIdeal:
     the marker elimination (_saturate_by_marker).
     """
     s = ideal.ambient_dim
-    e = tuple(int(x) for x in exponent)
+    e = tuple(map(_check_int, exponent))
     if len(e) != s or any(x < 0 for x in e) or not any(e):
         raise PreconditionError("saturation divisor must be a nonconstant monomial")
     if not ideal.generators:
@@ -622,7 +615,7 @@ def colon_saturation(ideal: BinomialIdeal, h_exponent, max_power=10000):
     least a_g, each test one reduction by I's cached GRevLex basis.
     """
     sat = _saturate_by_monomial(ideal, h_exponent)
-    e = tuple(int(x) for x in h_exponent)
+    e = tuple(map(_check_int, h_exponent))
     a = 0
     for g in sat.generators:
         # h^a g
@@ -825,7 +818,7 @@ def minimal_generator_count(ideal: BinomialIdeal, weights) -> int:
     Buchberger run under that grading (see _buchberger), whose basis fills
     the ideal's GRevLex cache.
     """
-    d = tuple(int(x) for x in weights)
+    d = tuple(map(_check_int, weights))
     if len(d) != ideal.ambient_dim or any(x <= 0 for x in d):
         raise PreconditionError("grading must be strictly positive")
     for g in ideal.generators:

@@ -9,7 +9,8 @@ from math import gcd
 from .errors import InternalError, PreconditionError
 from .exactmat import (
     IntMatrix,
-    _row_rank,
+    _check_int,
+    _echelon,
     _signed_minors,
     hermite_rows,
     integer_kernel,
@@ -65,7 +66,7 @@ class Lattice:
     def __init__(self, ambient_dim, generators):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        gens = tuple(tuple(map(_check_int, g)) for g in generators)
         if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator length must equal the ambient dimension")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -143,8 +144,9 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
     """(s-r) x s matrix A of rank s-r with lat inside ker_Z(A).
 
     Construction: complete a lattice basis to a Q-basis of Q^s by
-    greedily appending standard basis vectors, then take, for each
-    appended vector, the primitive integer normal of the hyperplane
+    greedily appending standard basis vectors (the pivot columns of one
+    echelon form of [basis^T | I_s] are the greedy choice), then take,
+    for each appended vector, the primitive integer normal of the hyperplane
     spanned by the remaining s-1 basis vectors: their signed maximal
     minors divided by their gcd, sign fixed by making the first nonzero
     entry positive. The result depends only on the
@@ -155,16 +157,11 @@ def defining_matrix(lat: Lattice) -> IntMatrix:
     s = lat.ambient_dim
     if lat.rank == s:
         raise PreconditionError("lattice has full rank; no defining matrix")
-    base = [list(r) for r in lat.basis()]
+    base = lat.basis()
     r = len(base)
-    full = [row[:] for row in base]
-    for j in range(s):
-        if len(full) == s:
-            break
-        e = [0] * s
-        e[j] = 1
-        if _row_rank(full + [e]) > len(full):
-            full.append(e)
+    # one row per coordinate: the basis vectors, then e_1, ..., e_s, as columns
+    pivots, _ = _echelon([[b[i] for b in base] + [int(i == j) for j in range(s)] for i in range(s)])
+    full = list(base) + [tuple(int(p - r == j) for j in range(s)) for p in pivots[r:]]
     out = []
     for idx in range(r, s):
         w = _signed_minors([full[t] for t in range(s) if t != idx], s)

@@ -91,6 +91,11 @@ def classify(L: IntMatrix) -> MatrixClassReport:
     basis. No floating point, no linear programming.
     """
     _require_square(L)
+    return _class_flags(L, grading_vector(L.transpose()), grading_vector(L))
+
+
+def _class_flags(L: IntMatrix, b, c) -> MatrixClassReport:
+    """classify(L) given its right and left kernel witnesses b and c."""
     s = L.rows
     pb = (
         all(L.entry(i, i) >= 1 for i in range(s))
@@ -102,8 +107,6 @@ def classify(L: IntMatrix) -> MatrixClassReport:
         )
     )
     full = all(L.entry(i, j) != 0 for i in range(s) for j in range(s) if i != j)
-    b = grading_vector(L.transpose())
-    c = grading_vector(L)
     cb = pb and all(sum(L.row(i)) == 0 for i in range(s))
     gcb = pb and b is not None
     return MatrixClassReport(
@@ -165,7 +168,8 @@ def check_transpose_theorems(L: IntMatrix) -> TransposeTheoremReport:
     _require_square(L)
     s = L.rows
     rep = classify(L)
-    trep = classify(L.transpose())
+    # L^T's witnesses are L's swapped: its right kernel is L's left kernel
+    trep = _class_flags(L.transpose(), rep.left_kernel_witness, rep.right_kernel_witness)
     r = matrix_rank(L)
     sc = strongly_connected(underlying_digraph(L))
 

@@ -15,8 +15,10 @@ Euclidean volume in the chosen coordinates. A single point counts 1.
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import InternalError, PreconditionError
-from .exactmat import IntMatrix, _signed_minors, determinant, rank, smith_normal_form
+from .exactmat import IntMatrix, _echelon, _signed_minors, determinant, smith_normal_form
 
 __all__ = ["LatticePolytope", "normalized_volume"]
 
@@ -52,19 +54,19 @@ def _simplex_volume(vertex_points, apex):
     return abs(determinant(IntMatrix(rows)))
 
 
+def _starting_simplex(points):
+    """Indices of the greedy (leftmost) affinely independent points,
+    starting at 0: the pivot columns of one echelon form whose columns
+    are the differences p_i - p_0."""
+    base = points[0]
+    pivots, _ = _echelon([[p[j] - base[j] for p in points[1:]] for j in range(len(base))])
+    return [0] + [i + 1 for i in pivots]
+
+
 def _incremental_volume(points):
     """Normalized volume of full-dimensional conv(points) in Z^r."""
     r = len(points[0])
-    # greedy affinely independent starting simplex
-    chosen = [0]
-    for idx in range(1, len(points)):
-        if len(chosen) == r + 1:
-            break
-        cand = chosen + [idx]
-        base = points[cand[0]]
-        diffs = [tuple(points[i][j] - base[j] for j in range(r)) for i in cand[1:]]
-        if rank(IntMatrix(diffs)) == len(diffs):
-            chosen.append(idx)
+    chosen = _starting_simplex(points)
     if len(chosen) != r + 1:
         raise InternalError("points are not full-dimensional")
 
@@ -112,7 +114,7 @@ def _incremental_volume(points):
 class LatticePolytope:
     """Convex hull of finitely many integer points, with exact volume."""
 
-    __slots__ = ("points", "_volume")
+    __slots__ = ("points", "_volume", "_index")
 
     def __init__(self, points):
         pts = []
@@ -128,6 +130,7 @@ class LatticePolytope:
             raise PreconditionError("points must share one ambient dimension")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_volume", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticePolytope is immutable")
@@ -143,12 +146,15 @@ class LatticePolytope:
         Returns (dimension, coordinate tuples); the originals are first
         translated by points[0]. Coordinate i of a point is row i of P
         times its difference, for P of the Smith form of the differences.
+        The same Smith form gives lattice_index.
         """
         base = self.points[0]
         diffs = [tuple(a - b for a, b in zip(p, base)) for p in self.points[1:]]
         if not diffs:
+            object.__setattr__(self, "_index", 1)
             return 0, [()]
         dec = smith_normal_form(IntMatrix(diffs).transpose())
+        object.__setattr__(self, "_index", prod(dec.gamma))
         r = dec.rank
         coords = [(0,) * r]
         for d in diffs:
@@ -157,6 +163,15 @@ class LatticePolytope:
                 raise InternalError("a point difference leaves the span of the first rank rows of P")
             coords.append(x[:r])
         return r, coords
+
+    @property
+    def lattice_index(self):
+        """Index of the lattice spanned by the point differences in its
+        saturation, the product of their invariant factors; 1 for a
+        single point. Free after normalized_volume()."""
+        if self._index is None:
+            self.translated_coordinates()
+        return self._index
 
     def normalized_volume(self):
         """dim! times the Euclidean volume in saturated-lattice

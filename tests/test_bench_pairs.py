@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py records a checkout's commit only when the
-checkout is that commit exactly."""
+checkout is that commit exactly, and flags each end-to-end metric
+against its bound."""
 
 import importlib.util
 import subprocess
@@ -73,3 +74,39 @@ def test_directory_outside_a_repository(tmp_path, monkeypatch):
     plain = tmp_path / "plain"
     plain.mkdir()
     assert bench_pairs.git_state(plain, plain / "BENCH_new.json") == (None, None)
+
+
+HIGHER = {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "job_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+
+
+def test_worse_than_bound_follows_the_better_direction():
+    # parent median 100; a change median of 74 is 26% worse for a
+    # higher-is-better metric, 126 is 26% worse for a lower-is-better one
+    parent = [98.0, 100.0, 102.0]
+    assert bench_pairs.metric_entry(HIGHER, parent, [73.0, 74.0, 75.0])["worse_than_bound"]
+    assert not bench_pairs.metric_entry(HIGHER, parent, [75.0, 76.0, 77.0])["worse_than_bound"]
+    assert not bench_pairs.metric_entry(HIGHER, parent, [125.0, 126.0, 127.0])["worse_than_bound"]
+    assert bench_pairs.metric_entry(LOWER, parent, [125.0, 126.0, 127.0])["worse_than_bound"]
+    assert not bench_pairs.metric_entry(LOWER, parent, [123.0, 124.0, 125.0])["worse_than_bound"]
+    assert not bench_pairs.metric_entry(LOWER, parent, [73.0, 74.0, 75.0])["worse_than_bound"]
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent quartiles 80 and 120 around a median of 100: a spread of 0.4
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0]
+    overlapping = [70.0, 90.0, 110.0, 130.0, 150.0]
+    for spec in (HIGHER, LOWER):
+        assert bench_pairs.metric_entry(spec, parent, overlapping)["unresolved"]
+        narrow = bench_pairs.metric_entry(spec, [99.0, 100.0, 101.0], [99.0, 100.0, 101.0])
+        assert not narrow["unresolved"] and not narrow["worse_than_bound"]
+    # unless every change run beats every parent run
+    assert not bench_pairs.metric_entry(HIGHER, parent, [150.0, 160.0, 170.0, 180.0, 190.0])["unresolved"]
+    assert not bench_pairs.metric_entry(LOWER, parent, [10.0, 20.0, 30.0, 40.0, 50.0])["unresolved"]
+    assert bench_pairs.metric_entry(LOWER, parent, [10.0, 20.0, 30.0, 40.0, 60.0])["unresolved"]
+
+
+def test_per_layer_metrics_get_no_flags():
+    spec = {"name": "exactmat.smith_normal_form.calls", "unit": "count", "better": "lower"}
+    entry = bench_pairs.metric_entry(spec, [10, 20, 30], [90, 100, 110])
+    assert "unresolved" not in entry and "worse_than_bound" not in entry

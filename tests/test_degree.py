@@ -182,8 +182,9 @@ def planted(module, name, broken, call):
 curve = Lattice(3, [(2, -1, -1), (-3, 1, -1)])
 line = Lattice(2, [(1, -1)])
 snf_without_q = lambda m: dataclasses.replace(e.smith_normal_form(m), Q=IntMatrix.identity(m.cols))
-planted(d, "_column_torsion", lambda m: 3, lambda: d.degree_toric(IntMatrix.identity(2)))
-planted(d, "_column_torsion", lambda m: 1000003, lambda: d.degree_lattice_breakdown(curve))
+vt = d._volume_and_torsion
+planted(d, "_volume_and_torsion", lambda m: (vt(m)[0], 3), lambda: d.degree_toric(IntMatrix.identity(2)))
+planted(d, "_volume_and_torsion", lambda m: (vt(m)[0], 1000003), lambda: d.degree_lattice_breakdown(curve))
 planted(d, "gcd", lambda *xs: 2, lambda: d.degree_graded_dim1(line, (1, 1)))
 planted(d, "grading_vector", lambda L: (2, 2), lambda: d.degree_matrix_ideal(IntMatrix([[1, -1], [-1, 1]])))
 planted(l, "Fraction", lambda *a: Fraction(0), lambda: l.positive_lattice_vector([(1, 0, 1), (0, 1, 1)], 3))

@@ -390,18 +390,18 @@ def test_rank_matches_smith_form_oracle():
     assert deficient >= 150
 
 
-def test_row_rank_of_empty_shapes():
-    from latkit.exactmat import _row_rank
+def test_echelon_of_empty_shapes():
+    from latkit.exactmat import _echelon
 
     # IntMatrix has no 0 x n or n x 0 shape; the elimination itself
-    # takes them and finds rank 0
+    # takes them and finds no pivot
     with pytest.raises(ValueError):
         IntMatrix([])
     with pytest.raises(ValueError):
         IntMatrix([[], []])
-    assert _row_rank([]) == 0
-    assert _row_rank([[], [], []]) == 0
-    assert _row_rank([[0, 0, 0]]) == 0
+    assert _echelon([]) == ([], 1)
+    assert _echelon([[], [], []]) == ([], 1)
+    assert _echelon([[0, 0, 0]]) == ([], 1)
 
 
 # The transform-tracking Smith form that latkit ran before its bordered
