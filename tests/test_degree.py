@@ -16,6 +16,8 @@ from latkit import (
     degree_lattice_breakdown,
     degree_matrix_ideal,
     degree_toric,
+    invariant_factors,
+    normalized_volume,
     saturate_variables,
     smith_normal_form,
     torsion_order,
@@ -69,6 +71,33 @@ def test_toric_degree_single_row():
 
 def test_toric_degree_identity():
     assert degree_toric(IntMatrix.identity(4)) == 1
+
+
+def _column_torsion(mat):
+    """The former column torsion, kept as the oracle: the product of
+    the invariant factors of the matrix itself."""
+    out = 1
+    for g in invariant_factors(mat):
+        out *= g
+    return out
+
+
+def test_volume_and_torsion_match_the_separate_oracles():
+    from latkit.degree import _volume_and_torsion
+
+    rng = random.Random(5150)
+    torsion = 0
+    for case in range(1000):
+        rows, cols = case % 4 + 1, rng.randint(1, 6)
+        V = [[rng.choice((0, 1, -1, 2, 3, -2)) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:  # repeated and zero columns
+            V = [row + row[:2] + [0] for row in V]
+        V = IntMatrix(V)
+        points = [(0,) * V.rows] + [V.column(j) for j in range(V.cols)]
+        want = (normalized_volume(points), _column_torsion(V))
+        assert _volume_and_torsion(V) == want, V
+        torsion += want[1] > 1
+    assert torsion >= 150
 
 
 def test_degree_lattice_edge_cases():
@@ -154,6 +183,10 @@ def test_graded_dim1_preconditions():
     lat = Lattice(3, list(AFFINE_CURVE_GENERATORS))
     with pytest.raises(PreconditionError):
         degree_graded_dim1(lat, (1, 1, 1))  # not a grading for this lattice
+    # a grading is not truncated to integers
+    for weights in ((1.5, 1.2), (True, 1)):
+        with pytest.raises(TypeError):
+            degree_graded_dim1(Lattice(2, [(1, -1)]), weights)
     with pytest.raises(PreconditionError):
         degree_dim1_from_basis([(1, -1, 0), (2, -2, 0)])  # dependent rows
 

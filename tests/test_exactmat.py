@@ -390,6 +390,25 @@ def test_rank_matches_smith_form_oracle():
     assert deficient >= 150
 
 
+def test_echelon_pivots_are_the_greedy_independent_columns():
+    from latkit.exactmat import _echelon
+
+    rng = random.Random(4343)
+    dependent = 0
+    for _ in range(1000):
+        rows = _planted_rank_matrix(rng)[0].to_rows()
+        # the former greedy loop: keep a column when it raises the rank
+        greedy = []
+        for j in range(len(rows[0])):
+            cols = [[r[c] for c in greedy + [j]] for r in rows]
+            if rank(IntMatrix(cols)) > len(greedy):
+                greedy.append(j)
+        pivots, _ = _echelon([list(r) for r in rows])
+        assert pivots == greedy, rows
+        dependent += len(greedy) < len(rows[0])
+    assert dependent >= 300
+
+
 def test_echelon_of_empty_shapes():
     from latkit.exactmat import _echelon
 
@@ -619,3 +638,78 @@ print(e.invariant_factors([[2, 0], [0, 3]]))
     assert run_optimized(code).split("\n") == [
         "elimination", "elimination", "diagonal", "diagonal", "chain", "chain", "(1, 6)",
     ]
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of latkit.exactmat.<name> through every latkit
+    module that binds it; returns the one-element counter list."""
+    import sys
+
+    import latkit.exactmat
+
+    original = getattr(latkit.exactmat, name)
+    counter = [0]
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("latkit") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return counter
+
+
+def test_each_matrix_is_eliminated_once(monkeypatch):
+    import latkit.volume
+    from latkit import (
+        Lattice,
+        check_transpose_theorems,
+        defining_matrix,
+        degree_lattice_breakdown,
+        degree_toric,
+        rational_orbit_report,
+    )
+
+    smith = _count_calls(monkeypatch, "_diagonalize")
+    hermite = _count_calls(monkeypatch, "hermite_rows")
+    echelon = _count_calls(monkeypatch, "_echelon")
+
+    def count(counter, call):
+        counter[0] = 0
+        call()
+        return counter[0]
+
+    # the volume and the column torsion share one Smith form
+    V = IntMatrix([[1, 0, 2, 3, 0], [0, 2, 2, 1, 4], [0, 0, 0, 3, 6]])
+    assert count(smith, lambda: degree_toric(V)) == 1
+    # ... and the breakdown adds the lattice's own torsion
+    curve = [(2, -1, -1, 0, 1, 0), (-3, 1, -1, 2, 0, 1)]
+    assert count(smith, lambda: degree_lattice_breakdown(Lattice(6, curve))) == 2
+    # L^T takes L's kernel witnesses: two Smith forms, not four
+    L = IntMatrix([[2, -1, -1], [-1, 3, -2], [-1, -2, 3]])
+    assert count(smith, lambda: check_transpose_theorems(L)) == 2
+    # the decomposition's rank comes from its Smith form, not a Hermite form
+    graded = Lattice(3, [(1, 1, -1), (2, -2, 0)])
+    assert count(hermite, lambda: rational_orbit_report(graded)) == 0
+    # one echelon for the completion, then one per appended normal
+    for s, gens in ((6, curve), (4, [(1, -1, 0, 0)]), (3, [])):
+        lat = Lattice(s, gens)
+        assert count(echelon, lambda: defining_matrix(lat)) == 1 + s - lat.rank
+    # one echelon of its own picks the volume's starting simplex (the
+    # facet normals and simplex volumes eliminate inside exactmat), and
+    # the lattice index reuses the volume's Smith form
+    volume_echelon = [0]
+    through = latkit.volume._echelon
+
+    def counted(rows):
+        volume_echelon[0] += 1
+        return through(rows)
+
+    monkeypatch.setattr(latkit.volume, "_echelon", counted)
+    points = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 0, 0), (3, 1, 1), (0, 2, 0), (0, 0, 3), (2, 2, 3)]
+    poly = latkit.volume.LatticePolytope(points)
+    assert count(smith, poly.normalized_volume) == 1
+    assert volume_echelon[0] == 1
+    assert count(smith, lambda: poly.lattice_index) == 0
+    assert poly.lattice_index == 1

@@ -130,6 +130,11 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 1, 1), (1, 0, 2)])  # duplicate edge
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 5, 1)])  # vertex out of range
+    # weights and vertices are not truncated to integers
+    for graph in (WeightedGraph, WeightedDigraph):
+        for edge in ((0, 1, 2.9), (0, 1.0, 1), (0, 1, True)):
+            with pytest.raises(TypeError):
+                graph(2, [edge])
 
 
 def test_disconnected_graph_rejected():

@@ -71,6 +71,28 @@ def test_ambient_dimension_mismatches_raise():
     assert not Monomial((1, 2)).divides(Monomial((2, 1)))
 
 
+def test_exponents_and_weights_must_be_ints():
+    # floats and bools raise instead of being truncated by int()
+    from latkit.ideal import _saturate_by_monomial
+
+    I = _vector_ideal(list(TORSION2_GENERATORS))
+    for bad in (1.7, True):
+        with pytest.raises(TypeError):
+            Monomial((bad, 0))
+        with pytest.raises(TypeError):
+            Binomial((bad, 0), (0, 1))
+        with pytest.raises(TypeError):
+            Binomial((0, 1), (bad, 0))
+        with pytest.raises(TypeError):
+            Binomial.from_vector((bad, -1))
+        with pytest.raises(TypeError):
+            minimal_generator_count(I, (5, 6, bad))
+        with pytest.raises(TypeError):
+            colon_saturation(I, (bad, 0, 0))
+        with pytest.raises(TypeError):
+            _saturate_by_monomial(I, (1, 1, bad))
+
+
 def test_binomial_canonical_orientation():
     # the stored plus-side is the larger monomial in graded reverse
     # lexicographic order

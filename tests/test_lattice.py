@@ -46,6 +46,11 @@ def test_lattice_basics():
         Lattice(0, [])
     with pytest.raises(ValueError):
         Lattice(2, [(1, 2, 3)])
+    # generators are not truncated to integers
+    with pytest.raises(TypeError):
+        Lattice(2, [(1.5, 2)])
+    with pytest.raises(TypeError):
+        Lattice(2, [(True, 2)])
 
 
 def test_basis_is_canonical():
@@ -175,7 +180,7 @@ def test_defining_matrix_matches_kernel_oracle():
         assert list(defining_matrix(lat)) == _kernel_defining_matrix(lat), lat.generators
     rng = random.Random(4242)
     ranks = set()
-    for case in range(600):
+    for case in range(1200):
         s = case % 6 + 1
         scale = rng.choice((1, 1, 2, 3))
         gens = [tuple(scale * rng.randint(-3, 3) for _ in range(s)) for _ in range(rng.randint(0, s - 1))]

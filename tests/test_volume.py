@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from latkit import (
     LatticePolytope,
     determinant,
     integer_kernel,
+    invariant_factors,
     minor_gcd,
     normalized_volume,
     rank,
@@ -207,7 +209,9 @@ def _oracle_simplex(vertex_points, apex):
     return abs(determinant(IntMatrix([tuple(a - b for a, b in zip(v, apex)) for v in vertex_points])))
 
 
-def _oracle_full_volume(points):
+def _greedy_starting_simplex(points):
+    """The former starting simplex, kept as the oracle: one rank test
+    per candidate point."""
     r = len(points[0])
     chosen = [0]
     for idx in range(1, len(points)):
@@ -216,6 +220,12 @@ def _oracle_full_volume(points):
         diffs = [tuple(a - b for a, b in zip(points[i], points[0])) for i in chosen[1:] + [idx]]
         if rank(IntMatrix(diffs)) == len(diffs):
             chosen.append(idx)
+    return chosen
+
+
+def _oracle_full_volume(points):
+    r = len(points[0])
+    chosen = _greedy_starting_simplex(points)
     assert len(chosen) == r + 1
     interior = tuple(sum(Fraction(points[i][j]) for i in chosen) / (r + 1) for j in range(r))
     volume = _oracle_simplex([points[i] for i in chosen[:-1]], points[chosen[-1]])
@@ -297,6 +307,34 @@ def test_coordinates_match_the_saturation_oracle():
     assert {n for n, _ in dims} == set(range(1, 7))
     assert all((n, n) in dims and (n, 0) in dims for n in range(1, 7))
     assert all(any(0 < d < n for m, d in dims if m == n) for n in range(2, 7))
+
+
+def test_starting_simplex_matches_the_greedy_oracle():
+    from latkit.volume import _starting_simplex
+
+    rng = random.Random(2025)
+    short = 0
+    for pts in _point_sets(rng, 1200):
+        chosen = _starting_simplex(pts)
+        assert chosen == _greedy_starting_simplex(pts), pts
+        short += len(chosen) <= len(pts[0])
+    # lower-dimensional sets, where the greedy pass runs out of points
+    assert short >= 300
+
+
+def test_lattice_index_is_the_saturation_index():
+    rng = random.Random(2026)
+    indices = set()
+    for pts in _point_sets(rng, 300):
+        poly = LatticePolytope(pts)
+        base = poly.points[0]
+        diffs = [tuple(a - b for a, b in zip(p, base)) for p in poly.points[1:]]
+        want = prod(invariant_factors(diffs))
+        assert poly.lattice_index == want, pts
+        indices.add(want)
+    assert LatticePolytope([(2, 2, 2)]).lattice_index == 1
+    assert LatticePolytope([(0, 0), (2, 0), (0, 3)]).lattice_index == 6
+    assert len(indices) >= 5
 
 
 def test_degenerate_facet_raises_internal_error_under_optimize():
