@@ -12,7 +12,8 @@ change, parent, so that a drift in machine load reaches both sides alike.
 Both checkouts run with this interpreter for the `run_seconds` of the
 change's BENCHMARK.json. `<side>_commit` is the HEAD a clean checkout
 runs and null for one with uncommitted changes, which `<side>_dirty`
-marks (see git_state).
+marks (see git_state). `src_lines` holds each side's line count of
+`src/latkit/*.py`, as `wc -l` counts it.
 
 The output, `BENCH_<label>.json` in the change checkout unless `--out`
 says otherwise, holds every run: per workload and end-to-end metric the
@@ -87,6 +88,12 @@ def git_state(checkout, out):
         if code != "??" or path.startswith(SOURCE_DIRS):
             return None, True
     return head.strip(), False
+
+
+def src_lines(checkout):
+    """Newlines in the checkout's src/latkit/*.py files, the total of
+    `wc -l src/latkit/*.py`."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "latkit").glob("*.py"))
 
 
 def sig(value):
@@ -185,6 +192,7 @@ def main(argv=None):
     bench = {"label": args.label, "change": args.note}
     for side in SIDES:
         bench[f"{side}_commit"], bench[f"{side}_dirty"] = git_state(checkouts[side], out)
+    bench["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
     bench.update({
         "machine": f"{os.cpu_count()}-vCPU {platform.system()}, Python {platform.python_version()}, "
                    "one process per run",

@@ -2,8 +2,8 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.
 `cb3` and `matclass` expand their syzygy and factorization identities
-with these four operations. The library's only Groebner engine is the
-binomial one in `ideal`; no ideal arithmetic happens here.
+with these four operations; `ideal` sums Hilbert numerators with
+`poly_add`. The only Groebner engine is the binomial one in `ideal`.
 """
 
 from __future__ import annotations
@@ -13,38 +13,31 @@ from fractions import Fraction
 __all__ = ["poly_add", "poly_sub", "poly_mul", "poly_scale"]
 
 
+def _add_term(out, e, c):
+    """out[e] += c in place, dropping a cancelled term; ints stay ints."""
+    c += out.get(e, 0)
+    if c:
+        out[e] = c
+    else:
+        out.pop(e, None)
+
+
 def poly_add(p, q):
     out = dict(p)
     for e, c in q.items():
-        nc = out.get(e, Fraction(0)) + c
-        if nc:
-            out[e] = nc
-        else:
-            out.pop(e, None)
+        _add_term(out, e, c)
     return out
 
 
 def poly_sub(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        nc = out.get(e, Fraction(0)) - c
-        if nc:
-            out[e] = nc
-        else:
-            out.pop(e, None)
-    return out
+    return poly_add(p, poly_scale(q, -1))
 
 
 def poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            nc = out.get(e, Fraction(0)) + c1 * c2
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
+            _add_term(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
     return out
 
 

@@ -19,7 +19,7 @@ from .ideal import (
     minimal_generator_count,
 )
 from .lattice import Lattice, grading_vector
-from .matclass import classify
+from .matclass import _column_term_pair, classify
 
 __all__ = [
     "CriticalBinomialSet",
@@ -256,11 +256,10 @@ def cb_properties_check(L: IntMatrix) -> CbPropertiesReport:
         return abs(L.entry(i, j))
 
     # column binomials oriented with the diagonal power positive
-    fs = []
-    for j in range(3):
-        x = {tuple(L.entry(j, j) if k == j else 0 for k in range(3)): Fraction(1)}
-        y = {tuple(0 if k == j else mag(k, j) for k in range(3)): Fraction(1)}
-        fs.append(poly_sub(x, y))
+    fs = [
+        poly_sub({x: Fraction(1)}, {y: Fraction(1)})
+        for x, y in (_column_term_pair(L, j) for j in range(3))
+    ]
 
     def tmon(var, e):
         return {tuple(e if k == var else 0 for k in range(3)): Fraction(1)}

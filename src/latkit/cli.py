@@ -104,16 +104,12 @@ def _human_value(value):
 
 
 def _human_lines(payload, indent=""):
-    """Key/value lines of a JSON-ready payload (see `_jsonify`)."""
+    """Key/value lines of a JSON-ready payload (see `_jsonify`). Values
+    are scalars or lists, and a list holds only strings, only matrix
+    rows, or only binomial or orbit dicts."""
     lines = []
     for key, value in payload.items():
-        if isinstance(value, dict):
-            if set(value) == {"plus", "minus", "text"}:
-                lines.append(f"{indent}{key}: {value['text']}")
-                continue
-            lines.append(f"{indent}{key}:")
-            lines.extend(_human_lines(value, indent + "  "))
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             if all(isinstance(v, str) for v in value):
                 # an empty list prints `key:` with no trailing space
                 lines.append(" ".join([f"{indent}{key}:", *value]))
@@ -125,13 +121,10 @@ def _human_lines(payload, indent=""):
             else:
                 lines.append(f"{indent}{key}:")
                 for item in value:
-                    if isinstance(item, dict):
-                        if set(item) == {"plus", "minus", "text"}:
-                            lines.append(f"{indent}  {item['text']}")
-                        else:
-                            lines.extend(_human_lines(item, indent + "  "))
+                    if set(item) == {"plus", "minus", "text"}:
+                        lines.append(f"{indent}  {item['text']}")
                     else:
-                        lines.append(f"{indent}  {_human_value(item)}")
+                        lines.extend(_human_lines(item, indent + "  "))
         else:
             lines.append(f"{indent}{key}: {_human_value(value)}")
     return lines

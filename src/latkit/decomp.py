@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import InternalError, PreconditionError
 from .exactmat import smith_normal_form
@@ -262,9 +262,7 @@ def rational_orbit_report(lat: Lattice) -> GaloisOrbitReport:
             )
         )
 
-    gamma = 1
-    for g in gammas:
-        gamma *= g
+    gamma = prod(gammas)
     if sum(o.size for o in orbits) != gamma:
         raise InternalError(f"orbit sizes do not sum to the torsion order {gamma}")
     report = GaloisOrbitReport(

@@ -107,7 +107,7 @@ class Dim1BasisResult:
 
 
 def degree_dim1_from_basis(basis) -> Dim1BasisResult:
-    vectors = [tuple(int(x) for x in v) for v in basis]
+    vectors = [tuple(map(_check_int, v)) for v in basis]
     if not vectors:
         raise PreconditionError("empty basis")
     s = len(vectors[0])

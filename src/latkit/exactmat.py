@@ -8,6 +8,7 @@ integer kernels. No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InternalError, PreconditionError
 
@@ -27,7 +28,7 @@ __all__ = [
 
 def _check_int(x):
     if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+        raise TypeError(f"expected an int, got {type(x).__name__}")
     return x
 
 
@@ -340,10 +341,7 @@ def minor_gcd(mat: IntMatrix, i: int) -> int:
     gamma = invariant_factors(mat)
     if i > len(gamma):
         return 0
-    out = 1
-    for g in gamma[:i]:
-        out *= g
-    return out
+    return prod(gamma[:i])
 
 
 def adjoint(mat: IntMatrix) -> IntMatrix:

@@ -115,31 +115,28 @@ class WeightedDigraph:
         return _reaches_all(fwd) and _reaches_all(rev)
 
 
+def _laplacian_rows(n, arcs):
+    """Out-degree matrix minus adjacency matrix of the weighted arcs
+    (i, j, w) on n vertices; loops add nothing."""
+    a = [[0] * n for _ in range(n)]
+    for i, j, w in arcs:
+        if i != j:
+            a[i][j] -= w
+            a[i][i] += w
+    # both graph classes already made every weight an int
+    return IntMatrix._trusted(a)
+
+
 def laplacian(G: WeightedGraph) -> IntMatrix:
     """Weighted degree matrix minus adjacency matrix; symmetric with
     zero row and column sums."""
-    n = G.vertex_count
-    a = [[0] * n for _ in range(n)]
-    for i, j, w in G.edges:
-        a[i][j] -= w
-        a[j][i] -= w
-        a[i][i] += w
-        a[j][j] += w
-    # WeightedGraph already made every weight an int
-    return IntMatrix._trusted(a)
+    arcs = [arc for i, j, w in G.edges for arc in ((i, j, w), (j, i, w))]
+    return _laplacian_rows(G.vertex_count, arcs)
 
 
 def laplacian_digraph(G: WeightedDigraph) -> IntMatrix:
     """Out-degree matrix minus adjacency matrix; zero row sums."""
-    n = G.vertex_count
-    a = [[0] * n for _ in range(n)]
-    for i, j, w in G.arcs:
-        if i == j:
-            continue
-        a[i][j] -= w
-        a[i][i] += w
-    # WeightedDigraph already made every weight an int
-    return IntMatrix._trusted(a)
+    return _laplacian_rows(G.vertex_count, G.arcs)
 
 
 def _column_lattice(mat: IntMatrix) -> Lattice:

@@ -17,6 +17,7 @@ import heapq
 import math
 import operator
 
+from ._genpoly import poly_add
 from .errors import InternalError, IterationLimitError, PreconditionError
 from .exactmat import IntMatrix, _check_int
 
@@ -86,11 +87,20 @@ def _grevlex_cmp(a, b):
     da, db = sum(a), sum(b)
     if da != db:
         return 1 if da > db else -1
-    for i in range(len(a) - 1, -1, -1):
-        d = a[i] - b[i]
-        if d:
-            return 1 if d < 0 else -1
-    return 0
+    if a == b:
+        return 0
+    # the larger monomial has the smaller last differing exponent
+    return 1 if a[::-1] < b[::-1] else -1
+
+
+def _block_picker(indices):
+    """Map an exponent tuple to its entries at the given indices."""
+    if len(indices) >= 2:
+        return operator.itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda a: (a[i],)
+    return lambda a: ()
 
 
 class MonomialOrder:
@@ -109,26 +119,12 @@ class MonomialOrder:
         if not elim:
             object.__setattr__(self, "compare", _grevlex_cmp)
         else:
-            rest = tuple(i for i in range(num_vars) if i not in set(elim))
+            pick_elim = _block_picker(elim)
+            pick_rest = _block_picker(tuple(i for i in range(num_vars) if i not in set(elim)))
 
-            def compare(a, b, _elim=elim, _rest=rest):
-                da = sum(a[i] for i in _elim)
-                db = sum(b[i] for i in _elim)
-                if da != db:
-                    return 1 if da > db else -1
-                for i in reversed(_elim):
-                    d = a[i] - b[i]
-                    if d:
-                        return 1 if d < 0 else -1
-                da = sum(a[i] for i in _rest)
-                db = sum(b[i] for i in _rest)
-                if da != db:
-                    return 1 if da > db else -1
-                for i in reversed(_rest):
-                    d = a[i] - b[i]
-                    if d:
-                        return 1 if d < 0 else -1
-                return 0
+            def compare(a, b):
+                c = _grevlex_cmp(pick_elim(a), pick_elim(b))
+                return c or _grevlex_cmp(pick_rest(a), pick_rest(b))
 
             object.__setattr__(self, "compare", compare)
 
@@ -656,14 +652,7 @@ def homogenize_ideal(ideal: BinomialIdeal) -> BinomialIdeal:
 
 def _add_shifted(p, q, d, c):
     """p + c t^d q, for polynomials as dicts degree -> nonzero coefficient."""
-    out = dict(p)
-    for k, v in q.items():
-        nv = out.get(k + d, 0) + c * v
-        if nv:
-            out[k + d] = nv
-        else:
-            out.pop(k + d, None)
-    return out
+    return poly_add(p, {k + d: c * v for k, v in q.items()})
 
 
 def _minimalize(gens):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import InternalError, PreconditionError
 from .exactmat import (
@@ -48,10 +48,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for x in self.invariant_factors:
-            out *= x
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -61,7 +58,7 @@ class FiniteAbelianGroup:
 class Lattice:
     """Subgroup of Z^s given by a finite (possibly redundant) generator list."""
 
-    __slots__ = ("ambient_dim", "generators", "_hnf", "_rank")
+    __slots__ = ("ambient_dim", "generators", "_hnf")
 
     def __init__(self, ambient_dim, generators):
         if ambient_dim < 1:
@@ -72,7 +69,6 @@ class Lattice:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_hnf", None)
-        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -87,9 +83,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            object.__setattr__(self, "_rank", len(self.basis()))
-        return self._rank
+        return len(self.basis())
 
     def generator_matrix(self) -> IntMatrix:
         """s x m matrix whose columns are the generators (needs m >= 1)."""
@@ -240,9 +234,7 @@ def positive_lattice_vector(basis, length):
             z[var] = lo
         elif hi is not None:
             z[var] = hi
-    scale = 1
-    for q in z:
-        scale = scale * q.denominator // gcd(scale, q.denominator)
+    scale = lcm(*(q.denominator for q in z))
     zi = [int(q * scale) for q in z]
     vec = [sum(zi[i] * basis[i][j] for i in range(k)) for j in range(length)]
     if not all(x > 0 for x in vec):
@@ -264,7 +256,7 @@ def homogenize_vector(a):
     Vectors with negative coordinate sum are negated first, so the
     appended entry is always <= 0.
     """
-    a = tuple(int(x) for x in a)
+    a = tuple(map(_check_int, a))
     total = sum(a)
     if total < 0:
         a = tuple(-x for x in a)

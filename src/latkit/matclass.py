@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._genpoly import poly_mul, poly_scale, poly_sub
+from ._genpoly import _add_term, poly_add, poly_mul, poly_scale, poly_sub
 from .errors import InternalError, PreconditionError
 from .exactmat import IntMatrix, adjoint, rank as matrix_rank
 from .graphs import WeightedDigraph
@@ -245,9 +245,8 @@ def _term_power_sum(x, y, count, weights=None):
     out = {}
     for j in range(1, count + 1):
         e = tuple((count - j) * a + (j - 1) * b for a, b in zip(x, y))
-        w = Fraction(1 if weights is None else weights(j))
-        out[e] = out.get(e, Fraction(0)) + w
-    return {e: c for e, c in out.items() if c}
+        _add_term(out, e, Fraction(1 if weights is None else weights(j)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,7 @@ def gpcb_syzygy(L: IntMatrix) -> GpcbSyzygyData:
     ]
     total = {}
     for i in range(s):
-        shifted = poly_mul({shifts[i]: Fraction(1)}, poly_mul(cof[i], gens[i]))
-        for e, cval in shifted.items():
-            nc = total.get(e, Fraction(0)) + cval
-            if nc:
-                total[e] = nc
-            else:
-                total.pop(e, None)
+        total = poly_add(total, poly_mul({shifts[i]: Fraction(1)}, poly_mul(cof[i], gens[i])))
     if total:
         raise InternalError("telescoping relation did not vanish")
     for i, (x, y) in enumerate(pairs):

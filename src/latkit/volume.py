@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import InternalError, PreconditionError
-from .exactmat import IntMatrix, _echelon, _signed_minors, determinant, smith_normal_form
+from .exactmat import IntMatrix, _check_int, _echelon, _signed_minors, determinant, smith_normal_form
 
 __all__ = ["LatticePolytope", "normalized_volume"]
 
@@ -117,18 +117,13 @@ class LatticePolytope:
     __slots__ = ("points", "_volume", "_index")
 
     def __init__(self, points):
-        pts = []
-        seen = set()
-        for p in points:
-            t = tuple(int(x) for x in p)
-            if t not in seen:
-                seen.add(t)
-                pts.append(t)
+        # distinct points, in the order of their first occurrence
+        pts = tuple(dict.fromkeys(tuple(map(_check_int, p)) for p in points))
         if not pts:
             raise PreconditionError("a polytope needs at least one point")
         if len({len(p) for p in pts}) != 1:
             raise PreconditionError("points must share one ambient dimension")
-        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_volume", None)
         object.__setattr__(self, "_index", None)
 
@@ -179,13 +174,8 @@ class LatticePolytope:
         if self._volume is not None:
             return self._volume
         dim, coords = self.translated_coordinates()
-        if dim == 0:
-            vol = 1
-        elif dim == 1:
-            values = [c[0] for c in coords]
-            vol = max(values) - min(values)
-        else:
-            vol = _incremental_volume(coords)
+        # the general path cannot take the empty coordinates of one point
+        vol = 1 if dim == 0 else _incremental_volume(coords)
         object.__setattr__(self, "_volume", vol)
         return vol
 

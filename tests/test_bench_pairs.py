@@ -1,8 +1,9 @@
 """scripts/bench_pairs.py records a checkout's commit only when the
-checkout is that commit exactly, and flags each end-to-end metric
-against its bound."""
+checkout is that commit exactly, flags each end-to-end metric against
+its bound, and counts each checkout's source lines."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -74,6 +75,26 @@ def test_directory_outside_a_repository(tmp_path, monkeypatch):
     plain = tmp_path / "plain"
     plain.mkdir()
     assert bench_pairs.git_state(plain, plain / "BENCH_new.json") == (None, None)
+
+
+def test_src_lines_counts_each_side_like_wc(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    sides = {"parent": ["a\nb\n", "c\n"], "change": ["a\n", "no final newline"]}
+    for side, files in sides.items():
+        pkg = tmp_path / side / "src" / "latkit"
+        (pkg / "sub").mkdir(parents=True)
+        for i, text in enumerate(files):
+            (pkg / f"m{i}.py").write_text(text)
+        # neither other files nor subdirectories count
+        (pkg / "notes.txt").write_text("x\n" * 5)
+        (pkg / "sub" / "deep.py").write_text("x\n" * 7)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [], "per_layer": [], "run_seconds": 1}\n'
+    )
+    out = tmp_path / "BENCH_lines.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--label", "lines", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
 
 
 HIGHER = {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}

@@ -272,6 +272,18 @@ def test_human_output_has_no_trailing_whitespace(capsys, tmp_path):
         assert [line for line in lines if line != line.rstrip()] == []
 
 
+def test_human_output_prints_none_for_a_missing_witness(capsys, tmp_path):
+    # both kernels are spanned by (1, -1), which no scaling makes positive
+    path = tmp_path / "ones.mat"
+    path.write_text("2 2\n1 1\n1 1\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "generalized_positive: no" in lines
+    assert "right_kernel_witness: none" in lines
+    assert "left_kernel_witness: none" in lines
+
+
 def test_human_output_renders_binomials(capsys):
     code, out, err = run(capsys, "saturate", str(DATA / "affine_curve.ideal"))
     assert code == 0

@@ -187,6 +187,10 @@ def test_graded_dim1_preconditions():
     for weights in ((1.5, 1.2), (True, 1)):
         with pytest.raises(TypeError):
             degree_graded_dim1(Lattice(2, [(1, -1)]), weights)
+    # nor is a basis vector
+    for basis in ([(1.5, -1.2, 0), (0, 1, -1)], [(True, -1, 0), (0, 1, -1)]):
+        with pytest.raises(TypeError):
+            degree_dim1_from_basis(basis)
     with pytest.raises(PreconditionError):
         degree_dim1_from_basis([(1, -1, 0), (2, -2, 0)])  # dependent rows
 

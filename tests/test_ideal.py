@@ -76,6 +76,9 @@ def test_exponents_and_weights_must_be_ints():
     from latkit.ideal import _saturate_by_monomial
 
     I = _vector_ideal(list(TORSION2_GENERATORS))
+    # the message names no matrix: the check serves every integer input
+    with pytest.raises(TypeError, match="^expected an int, got float$"):
+        Binomial((1.5, 0), (0, 1))
     for bad in (1.7, True):
         with pytest.raises(TypeError):
             Monomial((bad, 0))
@@ -130,6 +133,70 @@ def test_grevlex_is_monomial_order():
             assert cmp(ac, bc) == 1
         if any(a):
             assert cmp(a, (0, 0, 0, 0)) == 1  # 1 is the least monomial
+
+
+def _index_loop_grevlex_cmp(a, b):
+    """The GRevLex comparison as an index loop from the last variable,
+    the engine's former code; the oracle for `_grevlex_cmp`."""
+    da, db = sum(a), sum(b)
+    if da != db:
+        return 1 if da > db else -1
+    for i in range(len(a) - 1, -1, -1):
+        d = a[i] - b[i]
+        if d:
+            return 1 if d < 0 else -1
+    return 0
+
+
+def _index_loop_elimination_cmp(num_vars, elim):
+    """The former elimination closure: degree and reverse index loop on
+    the eliminated block, then on the rest."""
+    rest = tuple(i for i in range(num_vars) if i not in set(elim))
+
+    def compare(a, b, _elim=elim, _rest=rest):
+        da = sum(a[i] for i in _elim)
+        db = sum(b[i] for i in _elim)
+        if da != db:
+            return 1 if da > db else -1
+        for i in reversed(_elim):
+            d = a[i] - b[i]
+            if d:
+                return 1 if d < 0 else -1
+        da = sum(a[i] for i in _rest)
+        db = sum(b[i] for i in _rest)
+        if da != db:
+            return 1 if da > db else -1
+        for i in reversed(_rest):
+            d = a[i] - b[i]
+            if d:
+                return 1 if d < 0 else -1
+        return 0
+
+    return compare
+
+
+def test_orders_match_the_index_loop_oracle():
+    from itertools import combinations
+
+    from latkit.ideal import _grevlex_cmp
+
+    rng = random.Random(24)
+    subsets = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for elim in combinations(range(n), k):
+                subsets += 1
+                cmp = MonomialOrder(n, elim).compare
+                assert (cmp is _grevlex_cmp) == (k == 0)
+                oracle = _index_loop_elimination_cmp(n, elim)
+                for _ in range(300):
+                    # small exponents, so degree ties and equal pairs are common
+                    a = tuple(rng.randint(0, 2) for _ in range(n))
+                    b = a if rng.random() < 0.1 else tuple(rng.randint(0, 2) for _ in range(n))
+                    assert cmp(a, b) == oracle(a, b), (n, elim, a, b)
+                    assert _grevlex_cmp(a, b) == _index_loop_grevlex_cmp(a, b), (a, b)
+    # every subset of every n <= 6, including none and all
+    assert subsets == sum(2**n for n in range(1, 7))
 
 
 def test_matrix_ideal_generators():

@@ -51,6 +51,9 @@ def test_lattice_basics():
         Lattice(2, [(1.5, 2)])
     with pytest.raises(TypeError):
         Lattice(2, [(True, 2)])
+    for bad in ((1.7, True), (1.5, 0), (True, 0)):
+        with pytest.raises(TypeError):
+            homogenize_vector(bad)
 
 
 def test_basis_is_canonical():
@@ -216,6 +219,36 @@ def test_positive_lattice_vector():
     assert positive_lattice_vector([(1, -1, 0), (0, 1, -1)], 3) is None
     got = positive_lattice_vector([(1, 0, 1), (0, 1, 1)], 3)
     assert got is not None and all(x > 0 for x in got)
+
+
+def test_positive_lattice_vector_on_mixed_sign_bases():
+    # mixed signs give some variable a negative coefficient in a
+    # constraint, so back-substitution also takes upper bounds
+    from itertools import product
+
+    from latkit import rank
+
+    assert positive_lattice_vector([(1, -1, 2), (0, 1, -1)], 3) == (2, 1, 1)
+    rng = random.Random(24)
+    cases = found = 0
+    while cases < 1000:
+        k, length = rng.choice((2, 3)), rng.randint(3, 5)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(length)) for _ in range(k)]
+        if not all(min(b) < 0 < max(b) for b in basis) or rank(IntMatrix(basis)) < k:
+            continue
+        cases += 1
+        got = positive_lattice_vector(basis, length)
+        small = any(
+            all(sum(z * b[j] for z, b in zip(zs, basis)) > 0 for j in range(length))
+            for zs in product(range(-2, 3), repeat=k)
+        )
+        if small:
+            assert got is not None, basis
+        if got is not None:
+            found += 1
+            assert len(got) == length and all(x > 0 for x in got) and gcd(*got) == 1, basis
+            assert rank(IntMatrix(basis + [got])) == k, basis
+    assert found >= 200
 
 
 def test_homogenize_vector():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,10 @@ def test_known_volumes():
     assert normalized_volume(cube) == 6
     cross = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     assert normalized_volume(cross) == 8
+    # coordinates are not truncated to integers
+    for pts in ([(0.5, 0), (1.9, 0)], [(True, 0), (3, 0)]):
+        with pytest.raises(TypeError):
+            normalized_volume(pts)
 
 
 def test_lower_dimensional_embeddings():
@@ -307,6 +312,34 @@ def test_coordinates_match_the_saturation_oracle():
     assert {n for n, _ in dims} == set(range(1, 7))
     assert all((n, n) in dims and (n, 0) in dims for n in range(1, 7))
     assert all(any(0 < d < n for m, d in dims if m == n) for n in range(2, 7))
+
+
+def test_one_dimensional_volume_is_the_length():
+    # one-dimensional polytopes take the general incremental path; the
+    # oracle is the former special case, max - min of the coordinates
+    from latkit.volume import _incremental_volume
+
+    rng = random.Random(2027)
+    for _ in range(1000):
+        values = [rng.randint(-20, 20) for _ in range(rng.randint(2, 8))]
+        if len(set(values)) < 2:
+            values.append(values[0] + rng.choice((-1, 1)) * rng.randint(1, 9))
+        coords = [(v,) for v in dict.fromkeys(values)]
+        assert _incremental_volume(coords) == max(values) - min(values), values
+    for _ in range(300):
+        # lattice points on a line through Z^3
+        step = [rng.randint(-3, 3) for _ in range(3)]
+        step[rng.randrange(3)] = rng.randint(1, 3)
+        base = [rng.randint(-5, 5) for _ in range(3)]
+        ts = [rng.randint(-6, 6) for _ in range(rng.randint(2, 6))]
+        if len(set(ts)) < 2:
+            ts.append(ts[0] + 1)
+        pts = [tuple(b + t * d for b, d in zip(base, step)) for t in ts]
+        poly = LatticePolytope(pts)
+        dim, coords = poly.translated_coordinates()
+        assert dim == 1
+        lengths = [c[0] for c in coords]
+        assert poly.normalized_volume() == max(lengths) - min(lengths), pts
 
 
 def test_starting_simplex_matches_the_greedy_oracle():
